@@ -91,8 +91,11 @@ void BM_LinearForwardT(benchmark::State& state) {
   for (size_t i = 0; i < w.size(); ++i) w.data()[i] = (float)rng.Gaussian();
   nn::TransposeInto(w, wt);
   std::vector<float> bias(out, 0.1f);
+  std::vector<int> all(in);
+  for (int i = 0; i < in; ++i) all[i] = i;
   for (auto _ : state) {
-    nn::LinearForwardT(x, wt, bias, y);
+    nn::LinearForwardT(x, all, wt.data(), out, out, bias, y,
+                       /*fuse_relu=*/false);
     benchmark::DoNotOptimize(y.data());
   }
   state.SetItemsProcessed(state.iterations() * 2LL * batch * in * out);
@@ -124,7 +127,7 @@ void BM_SparseLinearForward(benchmark::State& state) {
     sx.EndRow();
   }
   for (auto _ : state) {
-    nn::SparseLinearForward(sx, wt, bias, y, /*fuse_relu=*/true);
+    nn::SparseLinearForward(sx, wt, out, bias, y, /*fuse_relu=*/true);
     benchmark::DoNotOptimize(y.data());
   }
   state.SetItemsProcessed(state.iterations() * batch);
@@ -151,20 +154,24 @@ void BM_LinearBackward(benchmark::State& state) {
 }
 BENCHMARK(BM_LinearBackward)->Arg(64)->Arg(256);
 
+// Args: batch rows, target column. A column's conditional evaluates only the
+// hidden units of degree <= column, so per-row cost grows from column 0 (a
+// softmax of the bias) to the last column (the whole network).
 void BM_ResMadeConditional(benchmark::State& state) {
   const int batch = static_cast<int>(state.range(0));
+  const int col = static_cast<int>(state.range(1));
   ar::ResMadeConfig config;
   ar::ResMade made({30, 18, 30, 30, 51}, config, 3);
   std::vector<std::vector<int>> inputs(batch, {5, 7, 2, 0, 0});
   nn::Matrix probs;
   ar::ResMade::Context ctx;  // reused across iterations, as estimators do
   for (auto _ : state) {
-    made.ConditionalDistribution(inputs, 3, probs, ctx);
+    made.ConditionalDistribution(inputs, col, probs, ctx);
     benchmark::DoNotOptimize(probs.data());
   }
   state.SetItemsProcessed(state.iterations() * batch);
 }
-BENCHMARK(BM_ResMadeConditional)->Arg(64)->Arg(256);
+BENCHMARK(BM_ResMadeConditional)->ArgsProduct({{64, 256}, {0, 1, 2, 3, 4}});
 
 void BM_GmmAssign(benchmark::State& state) {
   gmm::Gmm1D gmm(30);

@@ -131,15 +131,18 @@ run_config "${prefix}-tsan-obs" -LE slow -R \
   '^(CounterTest|RegistryTest|HistogramTest|ExportTest|TraceTest|ObsDeterminismTest|QueryLogTest|RaceTest|ThreadPoolTest|MicroBatcherTest|ShardedBatcherTest|ServeShardTest|ServeSwapTest|ServePipelineTest|ServeAdaptTest|AdaptControllerTest|PooledSamplerTest|LockRankTest|LockRankDeathTest)\.' \
   -- -DIAM_SANITIZE=thread
 
-# --- Stage 6b: pooled-sampler gate. ----------------------------------------
+# --- Stage 6b: exact-equality gate. ----------------------------------------
 # The pooled cross-query sampler must stay bit-identical to the legacy
 # per-query oracle at a fixed budget (DESIGN.md §14) — the megabatch,
 # prefix-sharing, fallback-isolation, and adaptive-determinism suites run on
 # the default (portable, exact-equality) build. The same suite rides the
-# TSan gate above for race coverage of the shared pooled scratch.
-echo "=== pooled-sampler gate: legacy-vs-pooled bit-exactness ==="
+# TSan gate above for race coverage of the shared pooled scratch. The
+# degree-truncated ResMADE conditionals must match the dense reference
+# network bit for bit, and the kept-list kernel the reference kernel
+# (DESIGN.md §10).
+echo "=== exact-equality gate: pooled sampler, truncated conditionals ==="
 ctest --test-dir "${prefix}-default" --output-on-failure -j "${jobs}" \
-  -R '^PooledSamplerTest\.'
+  -R '^(PooledSamplerTest\.|Layouts/ResMadeOracleTest\.|KernelsTest\.KeptListKernelMatchesReferenceOnGatheredInputs$)'
 
 # --- Stage 7: metrics-export smoke test. -----------------------------------
 # Runs the end-to-end demo with --metrics and asserts the Prometheus text

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <numeric>
+#include <span>
 #include <sstream>
 #include <string_view>
 
@@ -62,6 +64,22 @@ uint64_t NextWeightVersion() {
 std::span<const float> BiasSpan(const nn::MaskedLinear& layer) {
   return {layer.bias().value.data(),
           static_cast<size_t>(layer.out_features())};
+}
+
+// dst[q][p] = w[out_order[p]][in_order[q]]: w: [out, in] transposed with its
+// outputs and inputs permuted; an empty order is the identity.
+void TransposePermuted(const nn::Matrix& w, std::span<const int> in_order,
+                       std::span<const int> out_order, nn::Matrix& dst) {
+  const int out = w.rows();
+  const int in = w.cols();
+  dst.ResizeUninitialized(in, out);
+  for (int q = 0; q < in; ++q) {
+    const int i = in_order.empty() ? q : in_order[q];
+    float* row = dst.row(q);
+    for (int p = 0; p < out; ++p) {
+      row[p] = w.at(out_order.empty() ? p : out_order[p], i);
+    }
+  }
 }
 
 }  // namespace
@@ -158,6 +176,26 @@ ResMade::ResMade(std::vector<int> domain_sizes, ResMadeConfig config,
     return out;
   }();
 
+  // --- Degree plan of the eval path. ----------------------------------------
+  for (const nn::MaskedLinear& layer : hidden_) {
+    const int width = layer.out_features();
+    LayerPlan plan;
+    plan.order.resize(width);
+    std::iota(plan.order.begin(), plan.order.end(), 0);
+    std::stable_sort(plan.order.begin(), plan.order.end(), [n](int a, int b) {
+      return HiddenDegree(a, n) < HiddenDegree(b, n);
+    });
+    std::vector<int> position(width);
+    for (int p = 0; p < width; ++p) position[plan.order[p]] = p;
+    plan.kept.resize(n);
+    for (int m = 0; m < n; ++m) {
+      for (int k = 0; k < width; ++k) {
+        if (HiddenDegree(k, n) <= m) plan.kept[m].push_back(position[k]);
+      }
+    }
+    plan_.push_back(std::move(plan));
+  }
+
   BumpWeightVersion();
 }
 
@@ -172,11 +210,23 @@ void ResMade::RefreshTransposedWeights(nn::EvalWorkspace& ws) const {
     return;
   }
   ArMetrics::Get().wtcache_misses.Add();
-  ws.wt.resize(hidden_.size() + 1);
-  for (size_t i = 0; i < hidden_.size(); ++i) {
-    nn::TransposeInto(hidden_[i].weight().value, ws.wt[i]);
+  // Layer l's columns (and bias) follow its degree-sorted order; its rows
+  // follow the order its input is stored in: encoded lanes for layer 0, the
+  // previous layer's degree-sorted order after that. The output layer keeps
+  // its logit columns in place.
+  const size_t depth = hidden_.size();
+  ws.wt.resize(depth + 1);
+  ws.bias.resize(depth);
+  std::span<const int> in_order;
+  for (size_t l = 0; l < depth; ++l) {
+    const std::vector<int>& order = plan_[l].order;
+    TransposePermuted(hidden_[l].weight().value, in_order, order, ws.wt[l]);
+    const std::span<const float> bias = BiasSpan(hidden_[l]);
+    ws.bias[l].resize(bias.size());
+    for (size_t p = 0; p < bias.size(); ++p) ws.bias[l][p] = bias[order[p]];
+    in_order = order;
   }
-  nn::TransposeInto(output_.weight().value, ws.wt.back());
+  TransposePermuted(output_.weight().value, in_order, {}, ws.wt.back());
   ws.wt_version = version;
 }
 
@@ -215,8 +265,9 @@ void ResMade::EncodeInput(const std::vector<std::vector<int>>& batch,
   }
 }
 
-void ResMade::EncodeRowSparse(const int* row, nn::SparseRows& sx) const {
-  for (int c = 0; c < num_columns(); ++c) {
+void ResMade::EncodeRowSparse(const int* row, int cols,
+                              nn::SparseRows& sx) const {
+  for (int c = 0; c < cols; ++c) {
     const ColumnEncoding& enc = encodings_[c];
     const int value = row[c];
     IAM_DCHECK(value >= 0 && value <= domains_[c]);
@@ -233,30 +284,29 @@ void ResMade::EncodeRowSparse(const int* row, nn::SparseRows& sx) const {
 }
 
 void ResMade::EncodeInputSparse(const std::vector<std::vector<int>>& batch,
-                                nn::SparseRows& sx) const {
+                                int cols, nn::SparseRows& sx) const {
   sx.Reset(input_width_);
   for (const std::vector<int>& row : batch) {
     IAM_DCHECK(static_cast<int>(row.size()) == num_columns());
-    EncodeRowSparse(row.data(), sx);
+    EncodeRowSparse(row.data(), cols, sx);
   }
 }
 
-void ResMade::EncodeInputSparse(EncodedView batch, nn::SparseRows& sx) const {
+void ResMade::EncodeInputSparse(EncodedView batch, int cols,
+                                nn::SparseRows& sx) const {
   IAM_DCHECK(batch.rows == 0 || batch.stride >= num_columns());
   sx.Reset(input_width_);
   for (int r = 0; r < batch.rows; ++r) {
-    EncodeRowSparse(batch.data + static_cast<size_t>(r) * batch.stride, sx);
+    EncodeRowSparse(batch.data + static_cast<size_t>(r) * batch.stride, cols,
+                    sx);
   }
 }
 
-const nn::Matrix& ResMade::ForwardHidden(const nn::Matrix& x,
-                                         nn::EvalWorkspace& ws) const {
-  RefreshTransposedWeights(ws);
+void ResMade::Forward(const nn::Matrix& x, nn::EvalWorkspace& ws) const {
   ws.EnsureDepth(hidden_.size());
   const nn::Matrix* current = &x;
   for (size_t i = 0; i < hidden_.size(); ++i) {
-    nn::LinearForwardT(*current, ws.wt[i], BiasSpan(hidden_[i]),
-                       ws.pre_act[i]);
+    hidden_[i].Forward(*current, ws.pre_act[i], ws.wt_scratch);
     ReluForward(ws.pre_act[i], ws.act[i]);
     if (residual_flags_[i]) {
       IAM_DCHECK(ws.act[i].size() == current->size());
@@ -266,22 +316,32 @@ const nn::Matrix& ResMade::ForwardHidden(const nn::Matrix& x,
     }
     current = &ws.act[i];
   }
-  return *current;
+  output_.Forward(*current, ws.output, ws.wt_scratch);
 }
 
-const nn::Matrix& ResMade::ForwardHiddenEval(nn::EvalWorkspace& ws) const {
-  RefreshTransposedWeights(ws);
+const nn::Matrix& ResMade::ForwardHiddenEval(int col,
+                                             nn::EvalWorkspace& ws) const {
+  IAM_DCHECK(col >= 1 && col < num_columns());
   ws.EnsureDepth(hidden_.size());
-  // Layer 0 multiplies only the ~5% nonzero input lanes (one-hot blocks and
-  // wildcard tokens dominate the encoded row); every layer fuses the ReLU
-  // into the matmul's store, so no pre-activation matrix is ever written.
-  nn::SparseLinearForward(ws.sparse_input, ws.wt[0], BiasSpan(hidden_[0]),
-                          ws.act[0], /*fuse_relu=*/true);
+  const auto kept_bias = [&ws](size_t layer, size_t count) {
+    return std::span<const float>(ws.bias[layer]).first(count);
+  };
+  // Layer 0 multiplies only the nonzero lanes of columns < col (one-hot
+  // hits and embedding values); every layer evaluates just its first
+  // kept[col].size() units — those of degree <= col — and fuses the ReLU
+  // into the store, so no pre-activation matrix is ever written.
+  const int out0 = static_cast<int>(plan_[0].kept[col].size());
+  nn::SparseLinearForward(ws.sparse_input, ws.wt[0], out0,
+                          kept_bias(0, out0), ws.act[0], /*fuse_relu=*/true);
   const nn::Matrix* current = &ws.act[0];
   for (size_t i = 1; i < hidden_.size(); ++i) {
-    nn::LinearReluForwardT(*current, ws.wt[i], BiasSpan(hidden_[i]),
-                           ws.act[i]);
+    const nn::Matrix& wt = ws.wt[i];
+    const int out = static_cast<int>(plan_[i].kept[col].size());
+    nn::LinearForwardT(*current, plan_[i - 1].kept[col], wt.data(), wt.cols(),
+                       out, kept_bias(i, out), ws.act[i],
+                       /*fuse_relu=*/true);
     if (residual_flags_[i]) {
+      // Equal widths share degrees, hence the same order and kept prefix.
       IAM_DCHECK(ws.act[i].size() == current->size());
       float* a = ws.act[i].data();
       const float* prev = current->data();
@@ -290,11 +350,6 @@ const nn::Matrix& ResMade::ForwardHiddenEval(nn::EvalWorkspace& ws) const {
     current = &ws.act[i];
   }
   return *current;
-}
-
-void ResMade::Forward(const nn::Matrix& x, nn::EvalWorkspace& ws) const {
-  const nn::Matrix& hidden = ForwardHidden(x, ws);
-  nn::LinearForwardT(hidden, ws.wt.back(), BiasSpan(output_), ws.output);
 }
 
 double ResMade::TrainStep(const std::vector<std::vector<int>>& batch,
@@ -419,18 +474,27 @@ double ResMade::TrainStep(const std::vector<std::vector<int>>& batch,
 void ResMade::ConditionalDistributionImpl(int col, nn::Matrix& probs,
                                           Context& ctx) const {
   nn::EvalWorkspace& ws = ctx.ws;
-  const nn::Matrix& hidden = ForwardHiddenEval(ws);
-
-  // The output layer is evaluated just for `col`'s logits block, which keeps
-  // progressive sampling cheap when other columns have large domains
-  // (factorized sub-columns can have thousands of logits): the strip kernel
-  // runs over the [off, off + dom) column slice of the transposed weights.
   const int dom = domains_[col];
   const int off = encodings_[col].logit_offset;
-  const nn::Matrix& wt_out = ws.wt.back();
   const std::span<const float> bias = BiasSpan(output_).subspan(off, dom);
-  nn::LinearForwardTSlice(hidden, wt_out.data() + off, wt_out.cols(),
-                          wt_out.rows(), dom, bias, ws.output);
+  if (col == 0) {
+    // No hidden unit has degree 0: column 0's logits are its bias.
+    ws.output.ResizeUninitialized(ws.sparse_input.rows, dom);
+    for (int r = 0; r < ws.output.rows(); ++r) {
+      std::copy(bias.begin(), bias.end(), ws.output.row(r));
+    }
+  } else {
+    // The output layer is evaluated just for `col`'s logits block, which
+    // keeps progressive sampling cheap when other columns have large domains
+    // (factorized sub-columns can have thousands of logits): the kernel runs
+    // over the [off, off + dom) column window of the transposed weights and
+    // reads only the last layer's kept units.
+    const nn::Matrix& hidden = ForwardHiddenEval(col, ws);
+    const nn::Matrix& wt_out = ws.wt.back();
+    nn::LinearForwardT(hidden, plan_.back().kept[col], wt_out.data() + off,
+                       wt_out.cols(), dom, bias, ws.output,
+                       /*fuse_relu=*/false);
+  }
   nn::SoftmaxRows(ws.output, probs);
 }
 
@@ -439,7 +503,7 @@ void ResMade::ConditionalDistribution(
     Context& ctx) const {
   IAM_CHECK(col >= 0 && col < num_columns());
   RefreshTransposedWeights(ctx.ws);
-  EncodeInputSparse(inputs, ctx.ws.sparse_input);
+  EncodeInputSparse(inputs, col, ctx.ws.sparse_input);
   ConditionalDistributionImpl(col, probs, ctx);
 }
 
@@ -447,7 +511,7 @@ void ResMade::ConditionalDistribution(EncodedView inputs, int col,
                                       nn::Matrix& probs, Context& ctx) const {
   IAM_CHECK(col >= 0 && col < num_columns());
   RefreshTransposedWeights(ctx.ws);
-  EncodeInputSparse(inputs, ctx.ws.sparse_input);
+  EncodeInputSparse(inputs, col, ctx.ws.sparse_input);
   ConditionalDistributionImpl(col, probs, ctx);
 }
 
@@ -462,9 +526,15 @@ double ResMade::LogProb(const std::vector<int>& tuple, Context& ctx) const {
   IAM_CHECK(static_cast<int>(tuple.size()) == num_columns());
   nn::EvalWorkspace& ws = ctx.ws;
   RefreshTransposedWeights(ws);
-  EncodeInputSparse({tuple}, ws.sparse_input);
-  const nn::Matrix& hidden = ForwardHiddenEval(ws);
-  nn::LinearForwardT(hidden, ws.wt.back(), BiasSpan(output_), ws.output);
+  // Every logit block at once: the plan of the last column keeps every
+  // hidden unit, and the last column's lanes feed none of them.
+  const int last = num_columns() - 1;
+  EncodeInputSparse({tuple}, last, ws.sparse_input);
+  const nn::Matrix& hidden = ForwardHiddenEval(last, ws);
+  const nn::Matrix& wt_out = ws.wt.back();
+  nn::LinearForwardT(hidden, plan_.back().kept[last], wt_out.data(),
+                     wt_out.cols(), output_width_, BiasSpan(output_),
+                     ws.output, /*fuse_relu=*/false);
   double log_prob = 0.0;
   std::vector<double> scratch;
   const float* lrow = ws.output.row(0);

@@ -133,39 +133,43 @@ class ResMade {
   // Builds the input matrix [batch, input_width_] from encoded values.
   void EncodeInput(const std::vector<std::vector<int>>& batch,
                    nn::Matrix& x) const;
-  // Sparse encoding of the same batch: per row, the (lane, value) nonzeros —
-  // one entry per one-hot column plus embedding_dim entries per embedded
-  // column, i.e. typically ~5% of input_width_. Lane indices are strictly
-  // increasing within a row.
-  void EncodeInputSparse(const std::vector<std::vector<int>>& batch,
+  // Sparse encoding of columns [0, cols) of the same batch: per row, the
+  // (lane, value) nonzeros — one entry per one-hot column plus embedding_dim
+  // entries per embedded column, i.e. typically ~5% of input_width_. Lane
+  // indices are strictly increasing within a row. Column m's conditional
+  // reads only the lanes of columns < m, so it encodes cols = m.
+  void EncodeInputSparse(const std::vector<std::vector<int>>& batch, int cols,
                          nn::SparseRows& sx) const;
-  void EncodeInputSparse(EncodedView batch, nn::SparseRows& sx) const;
-  // Appends one encoded row (num_columns() ints) to `sx` — the shared body
+  void EncodeInputSparse(EncodedView batch, int cols,
+                         nn::SparseRows& sx) const;
+  // Appends columns [0, cols) of one encoded row to `sx` — the shared body
   // of both EncodeInputSparse overloads.
-  void EncodeRowSparse(const int* row, nn::SparseRows& sx) const;
+  void EncodeRowSparse(const int* row, int cols, nn::SparseRows& sx) const;
 
-  // Post-encode tail of ConditionalDistribution: hidden stack over
-  // ctx.ws.sparse_input, `col`'s logits slice, row-wise softmax into probs.
+  // Post-encode tail of ConditionalDistribution: the degree-truncated hidden
+  // stack over ctx.ws.sparse_input (which holds columns < col), `col`'s
+  // logits slice, row-wise softmax into probs.
   void ConditionalDistributionImpl(int col, nn::Matrix& probs,
                                    Context& ctx) const;
 
-  // Rebuilds the workspace's transposed-weight cache (hidden layers plus the
-  // output layer) when it does not match weight_version_. Cheap when fresh.
+  // Rebuilds the workspace's transposed-weight cache (hidden layers in the
+  // degree-sorted layout, plus the output layer) when it does not match
+  // weight_version_. Cheap when fresh.
   void RefreshTransposedWeights(nn::EvalWorkspace& ws) const;
   // Called after every weight mutation (construction, TrainStep,
   // Deserialize); draws from a process-global counter so stale caches are
   // detected even across model instances.
   void BumpWeightVersion();
 
-  // Full forward pass through the hidden stack and output layer, writing
-  // every activation into `ws` (training path: pre-activations retained).
+  // Training forward pass through the hidden stack and output layer over
+  // the dense input, in original unit order, writing every activation into
+  // `ws` (pre-activations retained for the backward pass).
   void Forward(const nn::Matrix& x, nn::EvalWorkspace& ws) const;
-  // Hidden stack only; returns the final hidden activation (owned by `ws`).
-  const nn::Matrix& ForwardHidden(const nn::Matrix& x,
-                                  nn::EvalWorkspace& ws) const;
-  // Inference-path hidden stack over ws.sparse_input: sparse first layer,
-  // fused Linear+ReLU throughout, no pre-activation materialization.
-  const nn::Matrix& ForwardHiddenEval(nn::EvalWorkspace& ws) const;
+  // Eval-path hidden stack for target column `col` >= 1 over
+  // ws.sparse_input: only the units of degree <= col, each layer's output
+  // in degree-sorted order, fused Linear+ReLU, no pre-activations. Returns
+  // the last layer's kept units (owned by `ws`).
+  const nn::Matrix& ForwardHiddenEval(int col, nn::EvalWorkspace& ws) const;
 
   std::vector<int> domains_;
   ResMadeConfig config_;
@@ -182,6 +186,21 @@ class ResMade {
   std::vector<bool> residual_flags_;  // hidden_[i] adds its input when true
   nn::MaskedLinear output_;
 
+  // Degree plan of the eval path, one entry per hidden layer, built at
+  // construction (DESIGN.md §10). Column m's logits read only hidden units
+  // of degree <= m, and those read only inputs of degree <= m; every other
+  // term is an exact-zero masked weight, so the eval path skips it.
+  struct LayerPlan {
+    // order[p]: original index of the unit stored at activation position p
+    // (units stably sorted by degree, so each kept set is a prefix).
+    std::vector<int> order;
+    // kept[m]: activation positions of the units of degree <= m, listed in
+    // ascending original unit index — the order the next layer sums them
+    // in, as the dense product would. kept[m].size() is the kept prefix.
+    std::vector<std::vector<int>> kept;
+  };
+  std::vector<LayerPlan> plan_;
+
   // Monotone token identifying the current weight values; workspaces compare
   // it against their transposed-weight caches. See RefreshTransposedWeights.
   // Atomic because eval threads load it on every forward pass while another
@@ -193,6 +212,9 @@ class ResMade {
 
   // Private scratch for TrainStep (activation caches for the backward pass).
   Context train_ctx_;
+
+  // Test-only access to the parameters, for the dense reference oracle.
+  friend struct ResMadeTestPeer;
 };
 
 }  // namespace iam::ar

@@ -25,15 +25,20 @@ struct EvalWorkspace {
   std::vector<Matrix> act;      // post-activation a_i per layer [B, width_i]
   Matrix output;                // final layer output (logits) [B, out_width]
 
-  // Transposed ([in, out]) copies of the owning model's layer weights — the
-  // layout the strip kernels and the sparse first-layer forward consume.
-  // The cache is keyed by the model's weight version: models bump their
-  // version on every weight mutation (TrainStep, Deserialize), and the
-  // model's forward entry points rebuild this cache when `wt_version`
-  // disagrees. Versions are drawn from one process-global counter, so a
-  // workspace carried across model instances can never alias a stale cache.
+  // Transposed ([in, out]) copies of the owning model's layer weights and
+  // their biases, in the layout its eval path consumes (ResMade: output
+  // columns in degree-sorted order, DESIGN.md §10). The cache is keyed by
+  // the model's weight version: models bump their version on every weight
+  // mutation (TrainStep, Deserialize), and the model's eval entry points
+  // rebuild this cache when `wt_version` disagrees. Versions are drawn from
+  // one process-global counter, so a workspace carried across model
+  // instances can never alias a stale cache.
   std::vector<Matrix> wt;
+  std::vector<std::vector<float>> bias;
   uint64_t wt_version = 0;  // 0 == never filled
+
+  // Per-layer transpose buffer of the training forward (nn::LinearForward).
+  Matrix wt_scratch;
 
   // Ensures one pre/post activation slot per layer.
   void EnsureDepth(size_t num_layers) {

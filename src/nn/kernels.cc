@@ -62,76 +62,92 @@ void LinearBackwardRef(const Matrix& x, const Matrix& w, const Matrix& dy,
 
 namespace {
 
-// One batch row, one strip of kWidth outputs. The accumulators live in
-// registers: kWidth independent reduction chains, each summed in ascending-i
-// order (the i-loop is unrolled by two but every accumulator still receives
-// its terms one after the other, so nothing is reassociated relative to the
-// reference kernel). The k-loops are unit-stride with a compile-time trip
-// count, which is exactly the shape the vectorizer wants.
-template <int kWidth, bool kRelu>
-inline void ForwardTStrip(const float* IAM_RESTRICT xb,
-                          const float* IAM_RESTRICT wt, int ldw, int in,
-                          const float* bias, float* IAM_RESTRICT yb) {
-  float acc[kWidth];
-  if (bias != nullptr) {
-    for (int k = 0; k < kWidth; ++k) acc[k] = bias[k];
-  } else {
-    for (int k = 0; k < kWidth; ++k) acc[k] = 0.0f;
-  }
-  const float* wp = wt;
-  int i = 0;
-  for (; i + 2 <= in; i += 2) {
-    const float x0 = xb[i];
-    const float x1 = xb[i + 1];
-    const float* IAM_RESTRICT w0 = wp;
-    const float* IAM_RESTRICT w1 = wp + ldw;
-    for (int k = 0; k < kWidth; ++k) {
-      float a = acc[k];
-      a += x0 * w0[k];
-      a += x1 * w1[k];
-      acc[k] = a;
-    }
-    wp += 2 * static_cast<size_t>(ldw);
-  }
-  if (i < in) {
-    const float x0 = xb[i];
-    for (int k = 0; k < kWidth; ++k) acc[k] += x0 * wp[k];
-  }
-  if (kRelu) {
-    for (int k = 0; k < kWidth; ++k) yb[k] = acc[k] > 0.0f ? acc[k] : 0.0f;
-  } else {
-    for (int k = 0; k < kWidth; ++k) yb[k] = acc[k];
+// Four floats as one value: GCC and Clang lower its elementwise arithmetic
+// to one SSE register, lane by lane, so every lane rounds exactly as the
+// scalar expression does. Spelling the tile in this type pins the register
+// blocking instead of leaving it to the vectorizer's cost model, which
+// spilled or mis-grouped the accumulators of the equivalent scalar loops.
+typedef float Floats4 __attribute__((vector_size(16)));
+
+// Copies rows [b0, b0 + kRows) of x, gathered at `kept`, into xp so that
+// xp[r * nk + j] == x[b0 + r][kept[j]].
+template <int kRows>
+inline void PackRows(const Matrix& x, int b0, std::span<const int> kept,
+                     float* IAM_RESTRICT xp) {
+  const int nk = static_cast<int>(kept.size());
+  for (int r = 0; r < kRows; ++r) {
+    const float* IAM_RESTRICT xr = x.row(b0 + r);
+    for (int j = 0; j < nk; ++j) xp[r * nk + j] = xr[kept[j]];
   }
 }
 
-template <bool kRelu>
-void ForwardTImpl(const Matrix& x, const float* wt, int ldw, int in, int out,
-                  std::span<const float> bias, Matrix& y) {
-  const int batch = x.rows();
-  IAM_CHECK(x.cols() == in);
-  IAM_CHECK(bias.empty() || static_cast<int>(bias.size()) == out);
-  y.ResizeUninitialized(batch, out);
-  const float* bias_ptr = bias.empty() ? nullptr : bias.data();
-
-  for (int b = 0; b < batch; ++b) {
-    const float* xb = x.row(b);
-    float* yb = y.row(b);
-    int o = 0;
-    for (; o + 16 <= out; o += 16) {
-      ForwardTStrip<16, kRelu>(xb, wt + o, ldw, in,
-                               bias_ptr ? bias_ptr + o : nullptr, yb + o);
-    }
-    for (; o + 4 <= out; o += 4) {
-      ForwardTStrip<4, kRelu>(xb, wt + o, ldw, in,
-                              bias_ptr ? bias_ptr + o : nullptr, yb + o);
-    }
-    for (; o < out; ++o) {  // remainder: strided column dot, still i-ordered
-      float acc = bias_ptr ? bias_ptr[o] : 0.0f;
-      const float* wp = wt + o;
-      for (int i = 0; i < in; ++i, wp += ldw) acc += xb[i] * wp[0];
-      yb[o] = kRelu ? (acc > 0.0f ? acc : 0.0f) : acc;
+// kRows batch rows × one strip of kVecs values of type V (Floats4, or float
+// for the scalar remainder). The accumulators live in registers, and each
+// lane sums its terms one after the other in list order — every weight row
+// loaded once serves all kRows rows, yet nothing is reassociated relative
+// to the reference kernel.
+template <int kRows, int kVecs, typename V>
+inline void KeptStrip(const float* IAM_RESTRICT xp, const int* kept, int nk,
+                      const float* IAM_RESTRICT wt, size_t ldw,
+                      const float* bias, float* const* yr, int o) {
+  constexpr int kLanes = sizeof(V) / sizeof(float);
+  V acc[kRows][kVecs];
+  for (int v = 0; v < kVecs; ++v) {
+    V init{};
+    if (bias != nullptr) std::memcpy(&init, bias + kLanes * v, sizeof(V));
+    for (int r = 0; r < kRows; ++r) acc[r][v] = init;
+  }
+  for (int j = 0; j < nk; ++j) {
+    const float* wj = wt + static_cast<size_t>(kept[j]) * ldw;
+    for (int v = 0; v < kVecs; ++v) {
+      V w;
+      std::memcpy(&w, wj + kLanes * v, sizeof(V));
+      for (int r = 0; r < kRows; ++r) acc[r][v] += xp[r * nk + j] * w;
     }
   }
+  for (int r = 0; r < kRows; ++r) {
+    for (int v = 0; v < kVecs; ++v) {
+      std::memcpy(yr[r] + o + kLanes * v, &acc[r][v], sizeof(V));
+    }
+  }
+}
+
+// One packed row block across all outputs: 8-wide strips, then a 4-wide
+// and a scalar remainder, then the ReLU over the block's rows while they
+// are still in L1.
+template <int kRows>
+void KeptRowBlock(const float* xp, std::span<const int> kept, const float* wt,
+                  size_t ldw, int out, const float* bias, bool relu,
+                  Matrix& y, int b0) {
+  float* yr[kRows];
+  for (int r = 0; r < kRows; ++r) yr[r] = y.row(b0 + r);
+  const int nk = static_cast<int>(kept.size());
+  const auto at = [bias](int o) { return bias ? bias + o : nullptr; };
+  int o = 0;
+  for (; o + 8 <= out; o += 8) {
+    KeptStrip<kRows, 2, Floats4>(xp, kept.data(), nk, wt + o, ldw, at(o), yr,
+                                 o);
+  }
+  for (; o + 4 <= out; o += 4) {
+    KeptStrip<kRows, 1, Floats4>(xp, kept.data(), nk, wt + o, ldw, at(o), yr,
+                                 o);
+  }
+  for (; o < out; ++o) {
+    KeptStrip<kRows, 1, float>(xp, kept.data(), nk, wt + o, ldw, at(o), yr,
+                               o);
+  }
+  if (relu) {
+    for (int r = 0; r < kRows; ++r) {
+      float* IAM_RESTRICT yo = yr[r];
+      for (int k = 0; k < out; ++k) yo[k] = yo[k] > 0.0f ? yo[k] : 0.0f;
+    }
+  }
+}
+
+std::vector<int> AllInputs(int in) {
+  std::vector<int> kept(static_cast<size_t>(in));
+  for (int i = 0; i < in; ++i) kept[i] = i;
+  return kept;
 }
 
 // Small-batch path over row-major weights: four output rows share each load
@@ -200,8 +216,8 @@ void ForwardDispatch(const Matrix& x, const Matrix& w,
     // Caller-owned transpose scratch: reused across calls, so steady-state
     // batched inference pays one out*in copy per call (<1% of the GEMM).
     TransposeInto(w, wt_scratch);
-    ForwardTImpl<kRelu>(x, wt_scratch.data(), wt_scratch.cols(), x.cols(),
-                        w.rows(), bias, y);
+    LinearForwardT(x, AllInputs(x.cols()), wt_scratch.data(),
+                   wt_scratch.cols(), w.rows(), bias, y, kRelu);
   } else {
     ForwardSmallImpl<kRelu>(x, w, bias, y);
   }
@@ -221,20 +237,30 @@ void LinearReluForward(const Matrix& x, const Matrix& w,
   ForwardDispatch<true>(x, w, bias, y, wt_scratch);
 }
 
-void LinearForwardT(const Matrix& x, const Matrix& wt,
-                    std::span<const float> bias, Matrix& y) {
-  ForwardTImpl<false>(x, wt.data(), wt.cols(), wt.rows(), wt.cols(), bias, y);
-}
+void LinearForwardT(const Matrix& x, std::span<const int> kept,
+                    const float* wt, int ldw, int out,
+                    std::span<const float> bias, Matrix& y, bool fuse_relu) {
+  const int batch = x.rows();
+  IAM_CHECK(out >= 0 && ldw >= out);
+  IAM_CHECK(bias.empty() || static_cast<int>(bias.size()) == out);
+  for (const int i : kept) IAM_CHECK(i >= 0 && i < x.cols());
+  y.ResizeUninitialized(batch, out);
+  const float* bias_ptr = bias.empty() ? nullptr : bias.data();
+  const size_t stride = static_cast<size_t>(ldw);
 
-void LinearReluForwardT(const Matrix& x, const Matrix& wt,
-                        std::span<const float> bias, Matrix& y) {
-  ForwardTImpl<true>(x, wt.data(), wt.cols(), wt.rows(), wt.cols(), bias, y);
-}
-
-void LinearForwardTSlice(const Matrix& x, const float* wt, int ldw, int in,
-                         int out, std::span<const float> bias, Matrix& y) {
-  IAM_CHECK(ldw >= out);
-  ForwardTImpl<false>(x, wt, ldw, in, out, bias, y);
+  // Gathered inputs of one 4-row block; packed once, reused by every strip.
+  std::vector<float> xp(4 * kept.size());
+  int b = 0;
+  for (; b + 4 <= batch; b += 4) {
+    PackRows<4>(x, b, kept, xp.data());
+    KeptRowBlock<4>(xp.data(), kept, wt, stride, out, bias_ptr, fuse_relu, y,
+                    b);
+  }
+  for (; b < batch; ++b) {
+    PackRows<1>(x, b, kept, xp.data());
+    KeptRowBlock<1>(xp.data(), kept, wt, stride, out, bias_ptr, fuse_relu, y,
+                    b);
+  }
 }
 
 void SoftmaxRows(const Matrix& logits, Matrix& probs) {
@@ -268,12 +294,12 @@ void TransposeInto(const Matrix& src, Matrix& dst) {
 
 // --- Sparse forward. -------------------------------------------------------
 
-void SparseLinearForward(const SparseRows& x, const Matrix& wt,
+void SparseLinearForward(const SparseRows& x, const Matrix& wt, int out,
                          std::span<const float> bias, Matrix& y,
                          bool fuse_relu) {
   const int in = wt.rows();
-  const int out = wt.cols();
   IAM_CHECK(x.cols == in);
+  IAM_CHECK(out >= 0 && out <= wt.cols());
   IAM_CHECK(static_cast<int>(x.row_begin.size()) == x.rows + 1);
   IAM_CHECK(bias.empty() || static_cast<int>(bias.size()) == out);
   y.ResizeUninitialized(x.rows, out);

@@ -13,14 +13,13 @@
 //  - *Ref kernels: the naive triple-loop originals, retained as the golden
 //    semantics. Slow, obviously correct, used by the fuzz tests.
 //  - the tiled kernels below: register-blocked over output strips and the
-//    batch, unrolled over the reduction dimension. Every output accumulator
-//    sums its reduction in the same index order as the reference, so no
-//    floating-point reassociation happens and the fast kernels are
-//    bit-compatible with the reference in the portable build. The IAM_NATIVE
-//    build (-march=native) may contract mul+add into FMA, which can move
-//    results by ULPs relative to the portable build, but fast and reference
-//    kernels inside one build always agree (same expression shapes, same
-//    contraction). See DESIGN.md §10.
+//    batch. Every output accumulator sums its reduction in the same index
+//    order as the reference, so no floating-point reassociation happens and
+//    the fast kernels are bit-compatible with the reference in the portable
+//    build. The IAM_NATIVE build (-march=native) may contract mul+add into
+//    FMA, which can move results by ULPs relative to the portable build, but
+//    fast and reference kernels inside one build always agree (same
+//    expression shapes, same contraction). See DESIGN.md §10.
 namespace iam::nn {
 
 // --- Reference kernels (golden semantics). --------------------------------
@@ -41,12 +40,12 @@ void LinearBackwardRef(const Matrix& x, const Matrix& w, const Matrix& dy,
 // --- Tiled fast kernels. ---------------------------------------------------
 
 // Drop-in replacement for LinearForwardRef. Large batches transpose w into
-// `wt_scratch` and run the strip kernel; small batches use a row-major tile
-// that amortizes the x loads over several output rows. `wt_scratch` is a
-// caller-owned transpose buffer (grown on demand, reused across calls so
-// steady-state batched inference pays one out*in copy per call); the kernel
-// layer itself keeps no state, hidden or otherwise, so thread-safety is
-// entirely the caller's scratch ownership — see DESIGN.md §11.
+// `wt_scratch` and run the blocked transposed kernel (LinearForwardT) over
+// every input; small batches use a row-major tile that amortizes the x
+// loads over several output rows. `wt_scratch` is a caller-owned transpose
+// buffer (grown on demand, reused across calls); the kernel layer itself
+// keeps no state, hidden or otherwise, so thread-safety is entirely the
+// caller's scratch ownership — see DESIGN.md §11.
 void LinearForward(const Matrix& x, const Matrix& w,
                    std::span<const float> bias, Matrix& y, Matrix& wt_scratch);
 
@@ -56,21 +55,19 @@ void LinearReluForward(const Matrix& x, const Matrix& w,
                        std::span<const float> bias, Matrix& y,
                        Matrix& wt_scratch);
 
-// Strip kernel over pre-transposed weights wt: [in, out] (wt[i][o] ==
-// w[o][i]). The layout every per-workspace weight cache stores; column
-// strips of wt are unit-stride, so the kernel vectorizes across outputs
-// without reassociating any reduction.
-void LinearForwardT(const Matrix& x, const Matrix& wt,
-                    std::span<const float> bias, Matrix& y);
-void LinearReluForwardT(const Matrix& x, const Matrix& wt,
-                        std::span<const float> bias, Matrix& y);
-
-// Raw-pointer variant evaluating only `out` outputs starting at column
-// `wt_col0` of a larger transposed weight matrix with leading dimension
-// `ldw` (the per-column logits slice in ResMade::ConditionalDistribution).
-// bias must have exactly `out` entries or be empty.
-void LinearForwardTSlice(const Matrix& x, const float* wt, int ldw, int in,
-                         int out, std::span<const float> bias, Matrix& y);
+// The blocked kernel over transposed weights: for o in [0, out),
+//   y[b][o] = bias[o] + sum over j of x[b][kept[j]] * wt[kept[j] * ldw + o],
+// the terms added in list order (then the ReLU when `fuse_relu`). `kept`
+// names the input lanes to read — the full list 0..in-1 is the dense
+// product, a sublist skips inputs whose weights are known to be zero — and
+// `wt` may point into a wider matrix to evaluate a window of its columns.
+// Tiles are 4 batch rows × 8 outputs with 4-wide and scalar remainders; the
+// gathered x of each row block is packed once and shared by every strip.
+// Rows are computed independently, so a row's output does not depend on the
+// batch it rides in. bias must have exactly `out` entries or be empty.
+void LinearForwardT(const Matrix& x, std::span<const int> kept,
+                    const float* wt, int ldw, int out,
+                    std::span<const float> bias, Matrix& y, bool fuse_relu);
 
 // dst = src^T; dst is resized to [src.cols, src.rows].
 void TransposeInto(const Matrix& src, Matrix& dst);
@@ -116,12 +113,13 @@ struct SparseRows {
   }
 };
 
-// y_b = bias + sum_nz x[i] * wt_row(i) over transposed weights wt: [in, out];
-// optionally fuses the ReLU. Skipping the zero input lanes is bitwise
-// equivalent to the dense kernel because adding x[i] * w == 0 never changes
-// a finite accumulator (the lone exception, an accumulator that is exactly
-// -0.0f, cannot arise from the encodings we feed this kernel).
-void SparseLinearForward(const SparseRows& x, const Matrix& wt,
+// y_b = bias + sum_nz x[i] * wt_row(i) over transposed weights wt: [in, *],
+// for the first `out` columns of wt; optionally fuses the ReLU. Skipping the
+// zero input lanes is bitwise equivalent to the dense kernel because adding
+// x[i] * w == 0 never changes a finite accumulator (the lone exception, an
+// accumulator that is exactly -0.0f, cannot arise from the encodings we feed
+// this kernel). bias must have exactly `out` entries or be empty.
+void SparseLinearForward(const SparseRows& x, const Matrix& wt, int out,
                          std::span<const float> bias, Matrix& y,
                          bool fuse_relu);
 

@@ -111,6 +111,10 @@ void MicroBatcher::WorkerLoop() {
   // registry's version atomic moved — a flush in steady state costs one
   // relaxed load instead of a mutex acquisition.
   std::shared_ptr<LoadedModel> model = registry_.Current(shard_index_);
+  // A queue shorter than max_batch flushes once full: no further request can
+  // join it, so waiting out max_delay would idle the worker while every new
+  // arrival is rejected.
+  const int flush_at = std::min(options_.max_batch, options_.queue_capacity);
   for (;;) {
     batch.clear();
     queries.clear();
@@ -118,9 +122,10 @@ void MicroBatcher::WorkerLoop() {
       util::MutexLock lock(mu_);
       while (queue_.empty() && !stop_) lock.Wait(work_cv_);
       if (queue_.empty()) return;  // stopped and fully drained
-      // Coalesce: hold the flush until the batch fills or the head of the
-      // queue hits its delay budget. During a drain, flush immediately.
-      while (static_cast<int>(queue_.size()) < options_.max_batch && !stop_) {
+      // Coalesce: hold the flush until the batch (or the queue) fills or the
+      // head of the queue hits its delay budget. During a drain, flush
+      // immediately.
+      while (static_cast<int>(queue_.size()) < flush_at && !stop_) {
         const double remaining =
             options_.max_delay_s - queue_.front().queued.ElapsedSeconds();
         if (remaining <= 0.0) break;

@@ -24,7 +24,8 @@ class Histogram;
 namespace iam::serve {
 
 struct BatcherOptions {
-  // Flush when this many requests have coalesced...
+  // Flush when this many requests have coalesced (or the queue is full,
+  // when queue_capacity is smaller)...
   int max_batch = 32;
   // ...or when the oldest queued request has waited this long, whichever
   // comes first. The classic dynamic micro-batching trade: larger batches

@@ -59,9 +59,16 @@ std::vector<float> RandomBias(int out, Rng& rng) {
   return bias;
 }
 
+std::vector<int> AllInputs(int in) {
+  std::vector<int> all(in);
+  for (int i = 0; i < in; ++i) all[i] = i;
+  return all;
+}
+
 // Shapes chosen to exercise every remainder path of the tiled kernels: the
-// 16-wide strips, the 4-wide strips, the scalar strided remainder, the
-// small-batch tile (batch < 8 skips the transpose), and degenerate widths.
+// 8-wide strips, the 4-wide strips, the scalar remainder, the one-row batch
+// remainder of the 4-row blocks, the small-batch tile (batch < 8 skips the
+// transpose), and degenerate widths.
 const int kBatches[] = {1, 2, 3, 5, 8, 17, 64};
 const int kWidths[] = {1, 2, 3, 5, 7, 16, 17, 33, 64, 100};
 
@@ -137,9 +144,11 @@ TEST(KernelsTest, TransposedKernelsMatchReference) {
         ASSERT_EQ(wt.cols(), out);
         const std::vector<float> bias = RandomBias(out, rng);
 
+        const std::vector<int> all = AllInputs(in);
         Matrix want, got;
         LinearForwardRef(x, w, bias, want);
-        LinearForwardT(x, wt, bias, got);
+        LinearForwardT(x, all, wt.data(), out, out, bias, got,
+                       /*fuse_relu=*/false);
         ExpectSameMatrix(got, want);
 
         for (int r = 0; r < want.rows(); ++r) {
@@ -147,7 +156,8 @@ TEST(KernelsTest, TransposedKernelsMatchReference) {
             if (!(want.at(r, c) > 0.0f)) want.at(r, c) = 0.0f;
           }
         }
-        LinearReluForwardT(x, wt, bias, got);
+        LinearForwardT(x, all, wt.data(), out, out, bias, got,
+                       /*fuse_relu=*/true);
         ExpectSameMatrix(got, want);
       }
     }
@@ -172,9 +182,9 @@ TEST(KernelsTest, ForwardTSliceMatchesColumnWindowOfFullProduct) {
                                    std::pair{out - 1, 1},
                                    std::pair{out - 17, 17}}) {
     Matrix got;
-    LinearForwardTSlice(x, wt.data() + col0, wt.cols(), in, width,
-                        std::span<const float>(bias).subspan(col0, width),
-                        got);
+    LinearForwardT(x, AllInputs(in), wt.data() + col0, wt.cols(), width,
+                   std::span<const float>(bias).subspan(col0, width), got,
+                   /*fuse_relu=*/false);
     ASSERT_EQ(got.rows(), batch);
     ASSERT_EQ(got.cols(), width);
     for (int r = 0; r < batch; ++r) {
@@ -187,6 +197,56 @@ TEST(KernelsTest, ForwardTSliceMatchesColumnWindowOfFullProduct) {
 #endif
       }
     }
+  }
+}
+
+// The eval path's truncated products: random kept-input lists (any subset,
+// in any order, empty included) and output prefixes of a wider transposed
+// matrix, over batches 1..9 so every remainder of the 4-row blocks runs.
+// The oracle is the reference kernel over the gathered inputs and the
+// prefix's weights, which adds the same terms in the same order.
+TEST(KernelsTest, KeptListKernelMatchesReferenceOnGatheredInputs) {
+  Rng rng(0x5eed7);
+  for (int trial = 0; trial < 300; ++trial) {
+    const int batch = 1 + static_cast<int>(rng.UniformInt(9));
+    const int in = 1 + static_cast<int>(rng.UniformInt(100));
+    const int width = 1 + static_cast<int>(rng.UniformInt(100));
+    const int out = static_cast<int>(rng.UniformInt(width + 1));
+    std::vector<int> kept;
+    const double density = rng.Uniform();
+    for (int i = 0; i < in; ++i) {
+      if (rng.Uniform() < density) kept.push_back(i);
+    }
+    if (trial % 2 == 1) {  // list order need not be ascending
+      for (size_t j = kept.size(); j > 1; --j) {
+        std::swap(kept[j - 1], kept[rng.UniformInt(j)]);
+      }
+    }
+    const int nk = static_cast<int>(kept.size());
+
+    Matrix x(batch, in), w(width, in), wt;
+    FillRandom(x, rng);
+    FillRandom(w, rng);
+    TransposeInto(w, wt);
+    const std::vector<float> bias = RandomBias(out, rng);
+    const bool relu = trial % 3 == 0;
+
+    Matrix xk(batch, nk), wk(out, nk), want;
+    for (int j = 0; j < nk; ++j) {
+      for (int b = 0; b < batch; ++b) xk.at(b, j) = x.at(b, kept[j]);
+      for (int o = 0; o < out; ++o) wk.at(o, j) = w.at(o, kept[j]);
+    }
+    LinearForwardRef(xk, wk, bias, want);
+    if (relu) {
+      for (int r = 0; r < want.rows(); ++r) {
+        for (int c = 0; c < want.cols(); ++c) {
+          if (!(want.at(r, c) > 0.0f)) want.at(r, c) = 0.0f;
+        }
+      }
+    }
+    Matrix got;
+    LinearForwardT(x, kept, wt.data(), width, out, bias, got, relu);
+    ExpectSameMatrix(got, want);
   }
 }
 
@@ -222,7 +282,7 @@ TEST(KernelsTest, SparseForwardMatchesDenseOnSparseInput) {
 
         Matrix want, got;
         LinearForwardRef(x, w, bias, want);
-        SparseLinearForward(sx, wt, bias, got, /*fuse_relu=*/false);
+        SparseLinearForward(sx, wt, out, bias, got, /*fuse_relu=*/false);
         ExpectSameMatrix(got, want);
 
         for (int r = 0; r < want.rows(); ++r) {
@@ -230,7 +290,7 @@ TEST(KernelsTest, SparseForwardMatchesDenseOnSparseInput) {
             if (!(want.at(r, c) > 0.0f)) want.at(r, c) = 0.0f;
           }
         }
-        SparseLinearForward(sx, wt, bias, got, /*fuse_relu=*/true);
+        SparseLinearForward(sx, wt, out, bias, got, /*fuse_relu=*/true);
         ExpectSameMatrix(got, want);
       }
     }
@@ -244,7 +304,7 @@ TEST(KernelsTest, SparseForwardHandlesAllEmptyRows) {
   Matrix wt(16, 5);
   std::vector<float> bias = {1.0f, -2.0f, 0.5f, 0.0f, 3.0f};
   Matrix y;
-  SparseLinearForward(sx, wt, bias, y, /*fuse_relu=*/false);
+  SparseLinearForward(sx, wt, 5, bias, y, /*fuse_relu=*/false);
   ASSERT_EQ(y.rows(), 3);
   ASSERT_EQ(y.cols(), 5);
   for (int r = 0; r < 3; ++r) {

@@ -1,4 +1,5 @@
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstring>
 #include <string>
@@ -16,6 +17,7 @@
 #include "serve/protocol.h"
 #include "serve/shards.h"
 #include "util/mutex.h"
+#include "util/stopwatch.h"
 
 namespace iam::serve {
 namespace {
@@ -228,6 +230,38 @@ TEST(MicroBatcherTest, CoalescesConcurrentRequests) {
   EXPECT_LT(batches, static_cast<uint64_t>(kClients));
 }
 
+// A queue shorter than max_batch can never reach max_batch, so it must
+// flush as soon as it is full rather than idle out max_delay while new
+// arrivals are rejected.
+TEST(MicroBatcherTest, FullQueueBelowMaxBatchFlushesWithoutWaitingOutDelay) {
+  constexpr int kCapacity = 4;
+  BatcherOptions options;
+  options.queue_capacity = kCapacity;
+  options.max_batch = 32;
+  options.max_delay_s = 1.0;
+  MicroBatcher batcher(SharedRegistry(), options);
+
+  const uint64_t batches_before = ServeMetrics::Get().batches.Total();
+  std::atomic<int> answered{0};
+  Stopwatch watch;
+  const auto done = [&answered](const MicroBatcher::Response& r) {
+    if (r.status.ok() && !r.overloaded) answered.fetch_add(1);
+  };
+  for (int i = 0; i < kCapacity; ++i) {
+    ASSERT_TRUE(batcher.TryQueue(DemoQuery(), MicroBatcher::Callback(done)));
+  }
+  while (answered.load() < kCapacity && watch.ElapsedSeconds() < 5.0) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  const double elapsed = watch.ElapsedSeconds();
+  batcher.DrainAndStop();
+
+  EXPECT_EQ(answered.load(), kCapacity);
+  EXPECT_LT(elapsed, 0.5 * options.max_delay_s);
+  // One flush of the full queue, not a delay-expired partial one.
+  EXPECT_EQ(ServeMetrics::Get().batches.Total() - batches_before, 1u);
+}
+
 TEST(MicroBatcherTest, ZeroCapacityFastRejectsEverything) {
   BatcherOptions options;
   options.queue_capacity = 0;
@@ -306,14 +340,32 @@ TEST(ShardedBatcherTest, AsyncCallbackMatchesDirectEstimate) {
 }
 
 TEST(ShardedBatcherTest, SpillsToSiblingThenRejectsWhenAllFull) {
-  // Coalescing holds admitted requests in the shard queue (max_batch and
-  // max_delay both out of reach), so admission fills deterministically.
   BatcherOptions options;
   options.max_batch = 64;
-  options.max_delay_s = 30.0;
+  options.max_delay_s = 0.0;
   options.queue_capacity = 2;
   ShardSet set(SharedRegistry(), options, 2);
   EXPECT_FALSE(set.saturated());
+
+  // Each shard's worker is held inside the callback of one plug request, so
+  // admitted requests stay queued and admission fills deterministically.
+  struct Gate {
+    util::Mutex mu;
+    std::condition_variable cv;
+    int entered = 0;
+    bool open = false;
+  } gate;
+  const auto plug = [&gate](const MicroBatcher::Response&) {
+    util::MutexLock lock(gate.mu);
+    ++gate.entered;
+    gate.cv.notify_all();
+    while (!gate.open) lock.Wait(gate.cv);
+  };
+  for (int shard = 0; shard < 2; ++shard) {
+    set.Submit(shard, DemoQuery(), plug);
+    util::MutexLock lock(gate.mu);
+    while (gate.entered <= shard) lock.Wait(gate.cv);
+  }
 
   const uint64_t spilled_before = ServeMetrics::Get().spilled.Total();
   CallbackSink sink;
@@ -332,7 +384,13 @@ TEST(ShardedBatcherTest, SpillsToSiblingThenRejectsWhenAllFull) {
     EXPECT_EQ(sink.overloaded, 1);
   }
 
-  // Drain flushes both shards; every admitted callback fires exactly once.
+  // Releasing the workers and draining flushes both shards; every admitted
+  // callback fires exactly once.
+  {
+    util::MutexLock lock(gate.mu);
+    gate.open = true;
+  }
+  gate.cv.notify_all();
   set.DrainAndStop();
   sink.WaitForTotal(5);
   util::MutexLock lock(sink.mu);
