@@ -423,37 +423,31 @@ int main(int argc, char** argv) {
   }
 
   // --- 4. Pooled sampler under serving load. --------------------------------
-  // Same offered load, three sampler modes of the served model: the legacy
-  // per-query oracle, the pooled megabatch at a fixed budget (bit-exact
-  // default), and pooled with prefix sharing + adaptive CI early stopping.
-  // The coalesced micro-batches are exactly the megabatches the pooled
-  // sampler amortizes, so batching and pooling compound here.
+  // Same offered load, two sampler modes of the served model: the pooled
+  // megabatch with prefix sharing at a fixed budget (the bit-exact default)
+  // and the same with adaptive CI early stopping. The coalesced
+  // micro-batches are exactly the megabatches the pooled sampler amortizes,
+  // so batching and pooling compound here.
   std::string pooled_json;
   {
     // Flip the sampler mode of EVERY replica between runs — a sharded server
     // snapshots one replica per shard, so a mode set only on replica 0 would
     // silently benchmark a mixed-mode generation. The server is idle in
-    // between, and set_sampler_mode takes each estimator's batch mutex, so
-    // even a straggling batch would serialize cleanly.
-    const auto set_sampler_mode_all = [&registry](bool pooled, bool prefix,
-                                                  int adaptive) {
+    // between, and set_adaptive_min_samples takes each estimator's batch
+    // mutex, so even a straggling batch would serialize cleanly.
+    const auto set_adaptive_all = [&registry](int adaptive) {
       for (int i = 0; i < registry.replicas(); ++i) {
-        registry.Current(i)->estimator->set_sampler_mode(pooled, prefix,
-                                                         adaptive);
+        registry.Current(i)->estimator->set_adaptive_min_samples(adaptive);
       }
     };
     const double qps = 5000.0;
     struct ServeMode {
       const char* label;
       const char* key;
-      bool pooled;
-      bool prefix;
       int adaptive;
     };
     constexpr ServeMode kServeModes[] = {
-        {"legacy", "legacy", false, false, 0},
-        {"pooled", "pooled", true, true, 0},
-        {"pooled+adaptive", "pooled_adaptive", true, true, 32}};
+        {"pooled", "pooled", 0}, {"pooled+adaptive", "pooled_adaptive", 32}};
     std::printf("\n### Pooled sampler under serving load (offered %.0f qps)\n",
                 qps);
     std::printf("%-18s %8s %9s %9s %8s %8s %8s %8s %8s\n", "config",
@@ -461,7 +455,7 @@ int main(int argc, char** argv) {
                 "p95ms", "p99ms");
     pooled_json = "{\"offered_qps\": 5000";
     for (const ServeMode& mode : kServeModes) {
-      set_sampler_mode_all(mode.pooled, mode.prefix, mode.adaptive);
+      set_adaptive_all(mode.adaptive);
       serve::EstimatorServer server(registry, options);
       if (!server.Start().ok()) return 1;
       const bench::LoadResult r = bench::RunLoad(
@@ -472,7 +466,7 @@ int main(int argc, char** argv) {
                      "\": " + bench::LoadResultJson(r, qps);
     }
     pooled_json += "}";
-    set_sampler_mode_all(true, true, 0);  // restore the defaults
+    set_adaptive_all(0);  // restore the default
   }
 
   // --- 5. Shard scaling: pipelined loadgen, offered up to 100k QPS. ---------

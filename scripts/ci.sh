@@ -123,7 +123,9 @@ fi
 # queue, and the swap-under-load tests must stay TSan-clean;
 # ServePipelineTest exercises the loop's partial-read/partial-write paths.
 # ServeAdaptTest/AdaptControllerTest cover the adaptation loop: concurrent
-# feedback + load racing a retrain-and-swap, DESIGN.md §18.)
+# feedback + load racing a retrain-and-swap, DESIGN.md §18. PooledSamplerTest
+# runs the pooled sampler's megabatches with concurrent callers against the
+# test-side per-query reference sampler.)
 # IAM_SANITIZE=thread also arms the lock-rank checker (src/util/lock_rank.h),
 # so every ranked acquisition in these suites is order-checked and the
 # LockRank suites prove the checker itself catches inversions.
@@ -132,11 +134,12 @@ run_config "${prefix}-tsan-obs" -LE slow -R \
   -- -DIAM_SANITIZE=thread
 
 # --- Stage 6b: exact-equality gate. ----------------------------------------
-# The pooled cross-query sampler must stay bit-identical to the legacy
-# per-query oracle at a fixed budget (DESIGN.md §14) — the megabatch,
-# prefix-sharing, fallback-isolation, and adaptive-determinism suites run on
-# the default (portable, exact-equality) build. The same suite rides the
-# TSan gate above for race coverage of the shared pooled scratch. The
+# The pooled cross-query sampler — EstimateBatch and EstimateAggregate — must
+# stay bit-identical at a fixed budget to the test-side per-query reference
+# sampler in tests/pooled_sampler_test.cc (DESIGN.md §14). The megabatch,
+# aggregate, fallback-isolation, and adaptive-determinism suites run on the
+# default (portable, exact-equality) build. The same suite rides the TSan
+# gate above for race coverage of the shared pooled scratch. The
 # degree-truncated ResMADE conditionals must match the dense reference
 # network bit for bit, and the kept-list kernel the reference kernel
 # (DESIGN.md §10).

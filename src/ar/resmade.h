@@ -106,7 +106,7 @@ class ResMade {
   // bit-identical per-row results (every kernel on the eval path processes
   // batch rows independently in fixed index order), so the pooled sampler
   // can slice one megabatch into arbitrary row ranges and still reproduce
-  // the per-query path exactly.
+  // a per-query evaluation of each row exactly.
   void ConditionalDistribution(EncodedView inputs, int col, nn::Matrix& probs,
                                Context& ctx) const;
 

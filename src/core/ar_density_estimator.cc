@@ -394,37 +394,43 @@ std::string ArDensityEstimator::name() const {
   return options_.use_domain_reduction ? "iam" : "neurocard";
 }
 
-std::vector<ArDensityEstimator::Constraint>
-ArDensityEstimator::BuildConstraints(const query::Query& q) const {
-  // Merge predicates per table column into one interval.
-  std::vector<double> lo(columns_.size(),
-                         -std::numeric_limits<double>::infinity());
-  std::vector<double> hi(columns_.size(),
-                         std::numeric_limits<double>::infinity());
-  std::vector<bool> touched(columns_.size(), false);
+std::vector<ArDensityEstimator::Interval> ArDensityEstimator::MergePredicates(
+    const query::Query& q) const {
+  std::vector<Interval> merged(columns_.size());
   for (const query::Predicate& p : q.predicates) {
     IAM_CHECK(p.column >= 0 && p.column < static_cast<int>(columns_.size()));
-    lo[p.column] = std::max(lo[p.column], p.lo);
-    hi[p.column] = std::min(hi[p.column], p.hi);
-    touched[p.column] = true;
+    Interval& iv = merged[p.column];
+    iv.lo = std::max(iv.lo, p.lo);
+    iv.hi = std::min(iv.hi, p.hi);
+    iv.touched = true;
   }
+  return merged;
+}
+
+std::vector<ArDensityEstimator::Constraint>
+ArDensityEstimator::BuildConstraints(const query::Query& q,
+                                     int force_active_col) const {
+  std::vector<Interval> merged = MergePredicates(q);
+  // An unqueried forced column keeps its infinite bounds: the full range.
+  if (force_active_col >= 0) merged[force_active_col].touched = true;
 
   std::vector<Constraint> constraints(columns_.size());
   for (size_t c = 0; c < columns_.size(); ++c) {
-    if (!touched[c]) continue;
+    const Interval& iv = merged[c];
+    if (!iv.touched) continue;
     Constraint& con = constraints[c];
     con.active = true;
-    con.range_lo = lo[c];
-    con.range_hi = hi[c];
+    con.range_lo = iv.lo;
+    con.range_hi = iv.hi;
     const TableColumn& col = columns_[c];
-    if (hi[c] < lo[c]) {
+    if (iv.hi < iv.lo) {
       con.impossible = true;
       continue;
     }
     switch (col.kind) {
       case TableColumn::Kind::kRaw:
       case TableColumn::Kind::kFactorized: {
-        const auto range = col.dict.EncodeRange(lo[c], hi[c]);
+        const auto range = col.dict.EncodeRange(iv.lo, iv.hi);
         if (range.empty()) {
           con.impossible = true;
         } else {
@@ -436,7 +442,7 @@ ArDensityEstimator::BuildConstraints(const query::Query& q) const {
       case TableColumn::Kind::kReduced: {
         // Query construction rule (Section 5.1): R'_i = Dom(A'_i); the range
         // enters through the bias-correction vector \hat P_GMM(R_i).
-        con.mass = col.reducer->RangeMass(lo[c], hi[c]);
+        con.mass = col.reducer->RangeMass(iv.lo, iv.hi);
         double total = 0.0;
         for (double m : con.mass) total += m;
         if (total <= 0.0) con.impossible = true;
@@ -451,98 +457,9 @@ double ArDensityEstimator::Estimate(const query::Query& q) {
   return EstimateBatch({&q, 1})[0];
 }
 
-void ArDensityEstimator::EnsureScratch() {
+void ArDensityEstimator::EnsureContexts() {
   const size_t n = static_cast<size_t>(pool().num_threads());
-  if (scratch_.size() < n) scratch_.resize(n);
-}
-
-ArDensityEstimator::QueryRun ArDensityEstimator::RunQuerySampling(
-    const query::Query& q, int force_active_col, Rng& rng,
-    InferenceScratch& scratch) const {
-  const int num_model_cols = static_cast<int>(model_col_owner_.size());
-  const int sp = options_.progressive_samples;
-  CoreMetrics& metrics = CoreMetrics::Get();
-  metrics.sampler_queries.Add();
-
-  QueryRun run;
-  run.constraints = BuildConstraints(q);
-  if (force_active_col >= 0 && !run.constraints[force_active_col].active) {
-    Constraint& con = run.constraints[force_active_col];
-    con.active = true;
-    con.range_lo = -std::numeric_limits<double>::infinity();
-    con.range_hi = std::numeric_limits<double>::infinity();
-    const TableColumn& col = columns_[force_active_col];
-    if (col.kind == TableColumn::Kind::kReduced) {
-      con.mass = col.reducer->RangeMass(con.range_lo, con.range_hi);
-    } else {
-      con.code_lo = 0;
-      con.code_hi = col.dict.size() - 1;
-    }
-  }
-  for (const Constraint& con : run.constraints) {
-    if (con.impossible) run.dead = true;
-  }
-
-  // Sample state: sp rows; every value starts as the wildcard token
-  // (unqueried columns are skipped entirely — wildcard skipping).
-  run.samples.assign(sp, std::vector<int>(num_model_cols, 0));
-  for (int m = 0; m < num_model_cols; ++m) {
-    const int wildcard = made_->wildcard_token(m);
-    for (auto& row : run.samples) row[m] = wildcard;
-  }
-  run.weights.assign(sp, 1.0);
-  if (run.dead) {
-    metrics.sampler_dead_queries.Add();
-    return run;
-  }
-
-  std::vector<std::vector<int>>& gather = scratch.gather;
-  std::vector<int>& gather_rows = scratch.gather_rows;
-
-  for (int m = 0; m < num_model_cols; ++m) {
-    const int owner = model_col_owner_[m];
-    const int role = model_col_role_[m];
-    const TableColumn& col = columns_[owner];
-    const Constraint& con = run.constraints[owner];
-    if (!con.active) continue;
-
-    // Collect the still-live sample rows.
-    gather.clear();
-    gather_rows.clear();
-    for (int s = 0; s < sp; ++s) {
-      if (run.weights[s] <= 0.0) continue;
-      gather_rows.push_back(s);
-      gather.push_back(run.samples[s]);
-    }
-    if (gather.empty()) continue;
-    // One progressive-sampling draw per live row at this AR step.
-    metrics.sampler_samples.Add(gather.size());
-    run.draws += gather.size();
-
-    made_->ConditionalDistribution(gather, m, scratch.probs, scratch.ctx);
-
-    for (size_t g = 0; g < gather_rows.size(); ++g) {
-      const int row = gather_rows[g];
-      const float* prow = scratch.probs.row(static_cast<int>(g));
-      const int high = role == 1 ? run.samples[row][m - 1] : 0;
-      const DrawOutcome draw = DrawCoordinate(col, con, role, high, prow, rng);
-
-      if (draw.sampled < 0 || draw.mass <= 0.0) {
-        run.weights[row] = 0.0;
-        run.fallbacks += 1;
-        run.fallback_column = owner;
-        if (owner < static_cast<int>(fallback_counters_.size())) {
-          fallback_counters_[owner]->Add();
-        }
-        // Leave the wildcard in place; the row is skipped from now on.
-        continue;
-      }
-      run.weights[row] *= draw.mass;
-      run.samples[row][m] = draw.sampled;
-    }
-  }
-
-  return run;
+  if (contexts_.size() < n) contexts_.resize(n);
 }
 
 ArDensityEstimator::DrawOutcome ArDensityEstimator::DrawCoordinate(
@@ -624,69 +541,40 @@ std::vector<double> ArDensityEstimator::EstimateBatchDiagnosed(
     std::span<const query::Query> qs,
     std::span<estimator::QueryDiagnostics> diags) {
   // Serializes concurrent batch calls (each still parallel internally) and
-  // covers the per-worker scratch slots. Determinism makes the interleaving
-  // unobservable: every query's estimate depends only on (seed, query index)
-  // on both sampling paths.
+  // covers the per-worker contexts. Determinism makes the interleaving
+  // unobservable: every query's estimate depends only on (seed, query index).
   IAM_CHECK(diags.empty() || diags.size() == qs.size());
   obs::TraceSpan span("core.estimate_batch");
   estimator::BatchMetrics& batch_metrics = estimator::BatchMetrics::Get();
   Stopwatch batch_watch;
   util::MutexLock lock(batch_mu_);
-  EnsureScratch();
+  EnsureContexts();
   const int sp = options_.progressive_samples;
   std::vector<double> estimates(qs.size(), 0.0);
-  if (options_.pooled_sampler) {
-    // Group size caps the transient conditional matrices of one pooled round
-    // at ~kPooledProbBudgetFloats. Splitting the batch is bit-neutral (query
-    // estimates are functions of (seed, global query index) alone); it only
-    // bounds how much cross-query amortization a single round can see.
-    int max_dom = 1;
-    for (int m = 0; m < made_->num_columns(); ++m) {
-      max_dom = std::max(max_dom, made_->domain_size(m));
+  // Group size caps the transient conditional matrices of one pooled round
+  // at ~kPooledProbBudgetFloats. Splitting the batch is bit-neutral (query
+  // estimates are functions of (seed, global query index) alone); it only
+  // bounds how much cross-query amortization a single round can see.
+  int max_dom = 1;
+  for (int m = 0; m < made_->num_columns(); ++m) {
+    max_dom = std::max(max_dom, made_->domain_size(m));
+  }
+  const size_t rows_cap = std::max<size_t>(
+      std::max(sp, 1), kPooledProbBudgetFloats / static_cast<size_t>(max_dom));
+  const size_t group = std::max<size_t>(1, rows_cap / std::max(sp, 1));
+  for (size_t begin = 0; begin < qs.size(); begin += group) {
+    EstimateBatchPooled(qs, begin, std::min(qs.size(), begin + group),
+                        options_.seed, /*force_active_col=*/-1, estimates,
+                        diags);
+  }
+  // Per-query latency under pooling is the amortized batch time: exactly
+  // one Record per query.
+  if (!qs.empty()) {
+    const double per_query =
+        batch_watch.ElapsedSeconds() / static_cast<double>(qs.size());
+    for (size_t qi = 0; qi < qs.size(); ++qi) {
+      batch_metrics.query_seconds.Record(per_query);
     }
-    const size_t rows_cap = std::max<size_t>(
-        std::max(sp, 1),
-        kPooledProbBudgetFloats / static_cast<size_t>(max_dom));
-    const size_t group = std::max<size_t>(1, rows_cap / std::max(sp, 1));
-    for (size_t begin = 0; begin < qs.size(); begin += group) {
-      EstimateBatchPooled(qs, begin, std::min(qs.size(), begin + group),
-                          estimates, diags);
-    }
-    // Per-query latency under pooling is the amortized batch time: exactly
-    // one Record per query, matching the legacy path's semantic count.
-    if (!qs.empty()) {
-      const double per_query =
-          batch_watch.ElapsedSeconds() / static_cast<double>(qs.size());
-      for (size_t qi = 0; qi < qs.size(); ++qi) {
-        batch_metrics.query_seconds.Record(per_query);
-      }
-    }
-  } else {
-    // Legacy per-query oracle: one deterministic Rng per query
-    // (seed ^ query index) and one whole sampling pass per query.
-    pool().ParallelFor(qs.size(), [&](size_t qi, int worker) {
-      Stopwatch query_watch;
-      Rng rng(options_.seed ^ static_cast<uint64_t>(qi));
-      const QueryRun run =
-          RunQuerySampling(qs[qi], /*force_active_col=*/-1, rng,
-                           scratch_[worker]);
-      if (!run.dead) {
-        double total = 0.0;
-        for (int s = 0; s < sp; ++s) total += run.weights[s];
-        estimates[qi] = Clamp(total / sp, 0.0, 1.0);
-      }
-      if (!diags.empty()) {
-        estimator::QueryDiagnostics& d = diags[qi];
-        d = estimator::QueryDiagnostics{};
-        d.sampler_draws = run.draws;
-        d.sample_rows = run.dead ? 0 : sp;
-        d.rounds = run.dead ? 0 : 1;  // the legacy path is one fixed wave
-        d.fallbacks = run.fallbacks;
-        d.fallback_column = run.fallback_column;
-        d.dead = run.dead;
-      }
-      batch_metrics.query_seconds.Record(query_watch.ElapsedSeconds());
-    });
   }
   if (options_.enable_corrector && corrector_ != nullptr) {
     // Post-estimate correction (DESIGN.md §18): multiply each raw estimate
@@ -711,7 +599,7 @@ std::vector<double> ArDensityEstimator::EstimateBatchDiagnosed(
 
 void ArDensityEstimator::EstimateBatchPooled(
     std::span<const query::Query> qs, size_t q_begin, size_t q_end,
-    std::vector<double>& estimates,
+    uint64_t seed, int force_active_col, std::vector<double>& estimates,
     std::span<estimator::QueryDiagnostics> diags) {
   const int nq = static_cast<int>(q_end - q_begin);
   if (nq <= 0) return;
@@ -724,12 +612,12 @@ void ArDensityEstimator::EstimateBatchPooled(
   metrics.sampler_queries.Add(static_cast<uint64_t>(nq));
   ps.queries.resize(nq);
   // Phase 0: per-query constraints and Rngs, parallel over queries. Rngs are
-  // seeded by the *global* batch index so group splitting and the legacy
-  // path agree on every draw sequence.
+  // seeded by the *global* batch index, so splitting a batch into groups
+  // leaves every query's draw sequence unchanged.
   pool().ParallelFor(nq, [&](size_t i, int) {
     PooledQuery& pq = ps.queries[i];
-    pq.constraints = BuildConstraints(qs[q_begin + i]);
-    pq.rng = Rng(options_.seed ^ static_cast<uint64_t>(q_begin + i));
+    pq.constraints = BuildConstraints(qs[q_begin + i], force_active_col);
+    pq.rng = Rng(seed ^ static_cast<uint64_t>(q_begin + i));
     pq.dead = false;
     pq.done = false;
     pq.early_stopped = false;
@@ -770,11 +658,12 @@ void ArDensityEstimator::EstimateBatchPooled(
   const bool adaptive = options_.adaptive_min_samples > 0;
   // Every still-running query has completed sample rows [0, cursor): waves
   // advance all of them in lockstep, so per-query draw order stays exactly
-  // column-major over that query's own rows — the legacy order. With the
-  // fixed budget there is a single wave of sp rows and the pooled sampler is
-  // bit-identical to the per-query path; adaptive budgets chunk the rows
-  // (min samples, then doubling), which reorders draws across waves but
-  // remains deterministic in (seed, query index).
+  // column-major over that query's own rows — the order of a per-query
+  // sampler. With the fixed budget there is a single wave of sp rows and
+  // the engine is bit-identical to the per-query reference sampler in
+  // tests/pooled_sampler_test.cc; adaptive budgets chunk the rows (min
+  // samples, then doubling), which reorders draws across waves but remains
+  // deterministic in (seed, query index).
   int cursor = 0;
   while (cursor < sp) {
     ps.wave_queries.clear();
@@ -796,8 +685,8 @@ void ArDensityEstimator::EstimateBatchPooled(
       const TableColumn& col = columns_[owner];
 
       // Gather this wave's live rows, query-major then row-ascending: the
-      // same visit order as the legacy sampler, so each query's rng draws
-      // line up one-to-one.
+      // visit order of a per-query sampler, so each query's rng draws line
+      // up one-to-one with the reference's.
       ps.live_rows.clear();
       ps.draw_queries.clear();
       ps.seg_begin.clear();
@@ -828,58 +717,44 @@ void ArDensityEstimator::EstimateBatchPooled(
       ps.unique_of.resize(live);
       ps.hit_of.assign(live, 0);
       ps.unique_data.resize(static_cast<size_t>(live) * num_model_cols);
-      if (options_.prefix_sharing) {
-        ps.unique_hash.clear();
-        ps.unique_next.clear();
-        size_t buckets = 16;
-        while (buckets < static_cast<size_t>(live) * 2) buckets <<= 1;
-        ps.bucket_head.assign(buckets, -1);
-        const uint64_t mask = buckets - 1;
-        for (int g = 0; g < live; ++g) {
-          const int* row = ps.samples.data() +
-                           static_cast<size_t>(ps.live_rows[g]) *
-                               num_model_cols;
-          uint64_t h = 1469598103934665603ull;  // FNV-1a over the prefix
-          for (int c = 0; c < m; ++c) {
-            h ^= static_cast<uint32_t>(row[c]);
-            h *= 1099511628211ull;
-          }
-          int uid = ps.bucket_head[h & mask];
-          while (uid >= 0) {
-            if (ps.unique_hash[uid] == h &&
-                std::equal(row, row + m,
-                           ps.unique_data.begin() +
-                               static_cast<size_t>(uid) * num_model_cols)) {
-              break;
-            }
-            uid = ps.unique_next[uid];
-          }
-          if (uid < 0) {
-            uid = unique++;
-            std::copy(row, row + num_model_cols,
-                      ps.unique_data.begin() +
-                          static_cast<size_t>(uid) * num_model_cols);
-            ps.unique_hash.push_back(h);
-            ps.unique_next.push_back(ps.bucket_head[h & mask]);
-            ps.bucket_head[h & mask] = uid;
-          } else {
-            ps.hit_of[g] = 1;  // shared an already-seen prefix
-          }
-          ps.unique_of[g] = uid;
+      ps.unique_hash.clear();
+      ps.unique_next.clear();
+      size_t buckets = 16;
+      while (buckets < static_cast<size_t>(live) * 2) buckets <<= 1;
+      ps.bucket_head.assign(buckets, -1);
+      const uint64_t mask = buckets - 1;
+      for (int g = 0; g < live; ++g) {
+        const int* row = ps.samples.data() +
+                         static_cast<size_t>(ps.live_rows[g]) * num_model_cols;
+        uint64_t h = 1469598103934665603ull;  // FNV-1a over the prefix
+        for (int c = 0; c < m; ++c) {
+          h ^= static_cast<uint32_t>(row[c]);
+          h *= 1099511628211ull;
         }
-        pooled_metrics.prefix_hits.Add(static_cast<uint64_t>(live - unique));
-      } else {
-        unique = live;
-        for (int g = 0; g < live; ++g) {
-          ps.unique_of[g] = g;
-          const int* row = ps.samples.data() +
-                           static_cast<size_t>(ps.live_rows[g]) *
-                               num_model_cols;
+        int uid = ps.bucket_head[h & mask];
+        while (uid >= 0) {
+          if (ps.unique_hash[uid] == h &&
+              std::equal(row, row + m,
+                         ps.unique_data.begin() +
+                             static_cast<size_t>(uid) * num_model_cols)) {
+            break;
+          }
+          uid = ps.unique_next[uid];
+        }
+        if (uid < 0) {
+          uid = unique++;
           std::copy(row, row + num_model_cols,
                     ps.unique_data.begin() +
-                        static_cast<size_t>(g) * num_model_cols);
+                        static_cast<size_t>(uid) * num_model_cols);
+          ps.unique_hash.push_back(h);
+          ps.unique_next.push_back(ps.bucket_head[h & mask]);
+          ps.bucket_head[h & mask] = uid;
+        } else {
+          ps.hit_of[g] = 1;  // shared an already-seen prefix
         }
+        ps.unique_of[g] = uid;
       }
+      pooled_metrics.prefix_hits.Add(static_cast<uint64_t>(live - unique));
 
       // One pooled GEMM per column per round, cut into kSliceRows slices:
       // per-row kernel results are bitwise invariant to the slicing, and the
@@ -896,11 +771,11 @@ void ArDensityEstimator::EstimateBatchPooled(
             ps.unique_data.data() + static_cast<size_t>(r0) * num_model_cols,
             std::min(kSliceRows, unique - r0), num_model_cols};
         made_->ConditionalDistribution(view, m, ps.slice_probs[si],
-                                       scratch_[worker].ctx);
+                                       contexts_[worker]);
       });
 
       // Draws: parallel across queries, sequential within a query (it owns
-      // its rng stream), rows ascending — the legacy order again.
+      // its rng stream), rows ascending — the per-query order again.
       pool().ParallelFor(ps.draw_queries.size(), [&](size_t di, int) {
         const int i = ps.draw_queries[di];
         PooledQuery& pq = ps.queries[i];
@@ -937,7 +812,7 @@ void ArDensityEstimator::EstimateBatchPooled(
     }
 
     // Wave end: fold the finished rows into each query's running estimate
-    // (ascending row order — the legacy summation order) and, under
+    // (ascending row order, as a per-query sum would) and, under
     // adaptive budgets, stop queries whose confidence interval converged.
     cursor += wave;
     for (const int i : ps.wave_queries) {
@@ -994,11 +869,8 @@ void ArDensityEstimator::EstimateBatchPooled(
   }
 }
 
-void ArDensityEstimator::set_sampler_mode(bool pooled, bool prefix_sharing,
-                                          int adaptive_min_samples) {
+void ArDensityEstimator::set_adaptive_min_samples(int adaptive_min_samples) {
   util::MutexLock lock(batch_mu_);
-  options_.pooled_sampler = pooled;
-  options_.prefix_sharing = prefix_sharing;
   options_.adaptive_min_samples = adaptive_min_samples;
 }
 
@@ -1011,8 +883,9 @@ void ArDensityEstimator::set_corrector(
 }
 
 uint64_t ArDensityEstimator::CorrectorRegionKey(const query::Query& q) const {
-  // Merge predicates per table column exactly like BuildConstraints, then
-  // hash the quantized interval coordinates. FNV-1a over 8-byte words.
+  // Merge predicates per table column (MergePredicates, as BuildConstraints
+  // does), then hash the quantized interval coordinates. FNV-1a over 8-byte
+  // words.
   constexpr uint64_t kFnvOffset = 1469598103934665603ull;
   constexpr uint64_t kFnvPrime = 1099511628211ull;
   uint64_t h = kFnvOffset;
@@ -1022,17 +895,7 @@ uint64_t ArDensityEstimator::CorrectorRegionKey(const query::Query& q) const {
       h *= kFnvPrime;
     }
   };
-  std::vector<double> lo(columns_.size(),
-                         -std::numeric_limits<double>::infinity());
-  std::vector<double> hi(columns_.size(),
-                         std::numeric_limits<double>::infinity());
-  std::vector<bool> touched(columns_.size(), false);
-  for (const query::Predicate& p : q.predicates) {
-    IAM_CHECK(p.column >= 0 && p.column < static_cast<int>(columns_.size()));
-    lo[p.column] = std::max(lo[p.column], p.lo);
-    hi[p.column] = std::min(hi[p.column], p.hi);
-    touched[p.column] = true;
-  }
+  const std::vector<Interval> merged = MergePredicates(q);
   // Cell sentinels: 0 = -inf bound, 1 = +inf bound, 2 = empty/impossible;
   // real bucket/code coordinates start at 3.
   constexpr uint64_t kCellNegInf = 0;
@@ -1040,10 +903,11 @@ uint64_t ArDensityEstimator::CorrectorRegionKey(const query::Query& q) const {
   constexpr uint64_t kCellEmpty = 2;
   constexpr uint64_t kCellBase = 3;
   for (size_t c = 0; c < columns_.size(); ++c) {
-    if (!touched[c]) continue;
+    const Interval& iv = merged[c];
+    if (!iv.touched) continue;
     mix(c + 1);
     const TableColumn& col = columns_[c];
-    if (hi[c] < lo[c]) {
+    if (iv.hi < iv.lo) {
       mix(kCellEmpty);
       continue;
     }
@@ -1054,12 +918,12 @@ uint64_t ArDensityEstimator::CorrectorRegionKey(const query::Query& q) const {
         if (std::isinf(bound)) return inf_cell;
         return kCellBase + static_cast<uint64_t>(col.reducer->Assign(bound));
       };
-      mix(cell(lo[c], kCellNegInf));
-      mix(cell(hi[c], kCellPosInf));
+      mix(cell(iv.lo, kCellNegInf));
+      mix(cell(iv.hi, kCellPosInf));
     } else {
       // Raw / factorized columns: coarse per-column buckets from the
       // dictionary code range (small domains by construction for kRaw).
-      const auto range = col.dict.EncodeRange(lo[c], hi[c]);
+      const auto range = col.dict.EncodeRange(iv.lo, iv.hi);
       if (range.empty()) {
         mix(kCellEmpty);
       } else {
@@ -1077,46 +941,47 @@ ArDensityEstimator::AggregateResult ArDensityEstimator::EstimateAggregate(
             target_col < static_cast<int>(columns_.size()));
   AggregateResult result;
   util::MutexLock lock(batch_mu_);
-  EnsureScratch();
-  Rng rng(options_.seed ^ 0xa99f00dULL);
-  const QueryRun run = RunQuerySampling(q, target_col, rng, scratch_[0]);
-  if (run.dead) return result;
+  EnsureContexts();
+  std::vector<double> selectivity(1, 0.0);
+  EstimateBatchPooled({&q, 1}, 0, 1, options_.seed ^ 0xa99f00dULL, target_col,
+                      selectivity, {});
+  const PooledQuery& pq = pooled_.queries[0];
+  const int n = pq.samples_done;
+  if (pq.dead || n <= 0) return result;
 
   const TableColumn& col = columns_[target_col];
-  const Constraint& con = run.constraints[target_col];
+  const Constraint& con = pq.constraints[target_col];
   const int m = col.first_model_col;
-  const int sp = options_.progressive_samples;
+  const int num_model_cols = static_cast<int>(model_col_owner_.size());
 
   double weight_sum = 0.0;
   double weighted_value_sum = 0.0;
-  for (int s = 0; s < sp; ++s) {
-    const double w = run.weights[s];
+  for (int s = 0; s < n; ++s) {
+    const double w = pooled_.weights[s];
     if (w <= 0.0) continue;
+    const int* row =
+        pooled_.samples.data() + static_cast<size_t>(s) * num_model_cols;
     double value = 0.0;
     switch (col.kind) {
       case TableColumn::Kind::kRaw:
-        value = col.dict.Decode(run.samples[s][m]);
+        value = col.dict.Decode(row[m]);
         break;
-      case TableColumn::Kind::kFactorized: {
-        const int code = run.samples[s][m] * col.factor_base +
-                         run.samples[s][m + 1];
-        value = col.dict.Decode(code);
+      case TableColumn::Kind::kFactorized:
+        value = col.dict.Decode(row[m] * col.factor_base + row[m + 1]);
         break;
-      }
       case TableColumn::Kind::kReduced:
-        value = col.reducer->RepresentativeValue(run.samples[s][m],
-                                                 con.range_lo, con.range_hi);
+        value = col.reducer->RepresentativeValue(row[m], con.range_lo,
+                                                 con.range_hi);
         break;
     }
     weight_sum += w;
     weighted_value_sum += w * value;
   }
 
-  result.selectivity = Clamp(weight_sum / sp, 0.0, 1.0);
+  result.selectivity = selectivity[0];
   result.count = result.selectivity * static_cast<double>(table_rows_);
   // mean(w * v) is unbiased for E[A * 1q]; scale by |T| for the SUM.
-  result.sum =
-      weighted_value_sum / sp * static_cast<double>(table_rows_);
+  result.sum = weighted_value_sum / n * static_cast<double>(table_rows_);
   result.avg = weight_sum > 0.0 ? weighted_value_sum / weight_sum : 0.0;
   return result;
 }

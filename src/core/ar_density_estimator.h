@@ -2,6 +2,7 @@
 #define IAM_CORE_AR_DENSITY_ESTIMATOR_H_
 
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <string>
@@ -71,21 +72,10 @@ struct ArEstimatorOptions {
   int progressive_samples = 256;
   // Worker threads for EstimateBatch and for build-time reducer fitting.
   // Estimates are bit-identical at any thread count: every query gets its own
-  // deterministic Rng (seed ^ query index) and its own sampling pass.
+  // deterministic Rng (seed ^ query index) and owns its draw stream inside
+  // the pooled sampler's megabatch (DESIGN.md §14).
   int num_threads = 1;
 
-  // --- Pooled cross-query sampling (DESIGN.md §14). -------------------------
-  // EstimateBatch pools every in-flight query into one sample megabatch and
-  // drives column-major rounds — one large GEMM per column per round instead
-  // of one small GEMM per (query, column). Bit-identical to the per-query
-  // path at a fixed budget; false runs the legacy per-query oracle.
-  bool pooled_sampler = true;
-  // Within a round, sample rows with identical sampled prefixes (the dedup
-  // key is the encoded prefix, i.e. model columns [0, round)) share one
-  // conditional-distribution evaluation. Exact, not approximate: equal
-  // prefixes give bitwise-equal conditionals. Counted by
-  // iam_sampler_prefix_hits_total.
-  bool prefix_sharing = true;
   // > 0 enables adaptive budgets in the pooled sampler: every query starts
   // with this many sample rows, the budget doubles each round, and sampling
   // stops early once the running estimate's confidence interval converges
@@ -99,7 +89,7 @@ struct ArEstimatorOptions {
   double adaptive_ci_rel = 0.05;
   double adaptive_ci_abs = 1e-5;
   // Conditional probabilities at or below this floor are treated as exact
-  // zeros by both sampling paths (core/sampling_utils.h floored variants).
+  // zeros by the sampler (core/sampling_utils.h floored variants).
   // 0 disables the floor bitwise; the zero-mass fallback regression tests
   // use it as a deterministic trigger.
   double min_conditional_prob = 0.0;
@@ -145,19 +135,22 @@ class ArDensityEstimator : public estimator::Estimator {
   double Estimate(const query::Query& q) override;
   std::vector<double> EstimateBatch(std::span<const query::Query> qs) override;
   // Same estimates, plus per-query sampler diagnostics (DESIGN.md §17). The
-  // diagnostic fields are accumulated on both sampling paths whether or not
-  // a caller asks for them, so the two entry points stay bit-identical; the
-  // span only controls the copy-out.
+  // sampler accumulates the diagnostic fields whether or not a caller asks
+  // for them, so the two entry points stay bit-identical; the span only
+  // controls the copy-out.
   std::vector<double> EstimateBatchDiagnosed(
       std::span<const query::Query> qs,
       std::span<estimator::QueryDiagnostics> diags) override;
   size_t SizeBytes() const override;
 
   // Approximate aggregation (the paper's future-work extension): estimates
-  // SELECT COUNT(*), SUM(target), AVG(target) FROM T WHERE q, using the same
-  // unbiased progressive sampler with the target column always materialized.
+  // SELECT COUNT(*), SUM(target), AVG(target) FROM T WHERE q, running the
+  // same pooled sampler as EstimateBatch on a one-query batch with the
+  // target column always materialized (Rng seed options.seed ^ 0xa99f00d).
   // For a GMM-reduced target the per-sample value is the truncated component
-  // mean. `table_rows` scales COUNT/SUM back to absolute units.
+  // mean. `table_rows` scales COUNT/SUM back to absolute units. Under
+  // adaptive budgets the aggregate stops early like any estimate and
+  // averages over the rows it drew.
   struct AggregateResult {
     double selectivity = 0.0;
     double count = 0.0;
@@ -197,10 +190,9 @@ class ArDensityEstimator : public estimator::Estimator {
     return columns_[table_col].reducer.get();
   }
   const ArEstimatorOptions& options() const { return options_; }
-  // Flips the pooled-sampler knobs on a live estimator (bench/serve A/B
+  // Sets options().adaptive_min_samples on a live estimator (bench/serve A/B
   // comparisons). Serialized against in-flight batches by the batch mutex.
-  void set_sampler_mode(bool pooled, bool prefix_sharing,
-                        int adaptive_min_samples);
+  void set_adaptive_min_samples(int adaptive_min_samples);
   // Installs (or, with nullptr, removes) the post-estimate corrector and
   // sets options().enable_corrector to `enable`. Serialized against
   // in-flight batches by the batch mutex; the corrector outlives every batch
@@ -246,38 +238,25 @@ class ArDensityEstimator : public estimator::Estimator {
     double range_hi = 0.0;
   };
 
-  // Progressive-sampling pass over one query (`progressive_samples` rows).
-  struct QueryRun {
-    std::vector<Constraint> constraints;
-    bool dead = false;
-    std::vector<std::vector<int>> samples;  // sp rows
-    std::vector<double> weights;            // sp
-    // Diagnostics (copied into estimator::QueryDiagnostics on request).
-    uint64_t draws = 0;        // rows drawn across all AR steps
-    int fallbacks = 0;         // zero-mass wildcard fallbacks
-    int fallback_column = -1;  // table column of the last fallback
+  // A query's predicates on one table column, intersected into one interval;
+  // `touched` is false (and the bounds infinite) when no predicate names it.
+  struct Interval {
+    double lo = -std::numeric_limits<double>::infinity();
+    double hi = std::numeric_limits<double>::infinity();
+    bool touched = false;
   };
-  // Per-worker inference scratch: one AR evaluation context plus the
-  // conditional-probability and gather buffers, reused across queries.
-  struct InferenceScratch {
-    ar::ResMade::Context ctx;
-    nn::Matrix probs;
-    std::vector<std::vector<int>> gather;
-    std::vector<int> gather_rows;
-  };
-  // force_active_col >= 0 marks that table column active (full range when
-  // unqueried) so its coordinate is always sampled. Const and reentrant:
-  // concurrent callers need distinct rng/scratch.
-  QueryRun RunQuerySampling(const query::Query& q, int force_active_col,
-                            Rng& rng, InferenceScratch& scratch) const;
-  // Grows the per-worker scratch vector to the pool size.
-  void EnsureScratch() IAM_REQUIRES(batch_mu_);
+  // One Interval per table column. The single merge rule behind both
+  // BuildConstraints and CorrectorRegionKey.
+  std::vector<Interval> MergePredicates(const query::Query& q) const;
+
+  // Grows the per-worker AR evaluation contexts to the pool size.
+  void EnsureContexts() IAM_REQUIRES(batch_mu_);
 
   // One draw of a query's next coordinate for the model column owned by
   // `col` (`role` = sub-column role, `high` = the already-sampled high
-  // sub-column value, used only for factorized low columns). Shared by the
-  // legacy per-query and the pooled cross-query samplers so the two paths
-  // are bit-identical by construction. sampled < 0 or mass <= 0 means the
+  // sub-column value, used only for factorized low columns). Also called by
+  // the per-query reference sampler in tests/pooled_sampler_test.cc, which
+  // the pooled engine must match bitwise. sampled < 0 or mass <= 0 means the
   // row hit the zero-mass wildcard fallback.
   struct DrawOutcome {
     int sampled = -1;
@@ -309,8 +288,8 @@ class ArDensityEstimator : public estimator::Estimator {
     double ci_half_width = 0.0;  // last computed CI half-width
   };
   // Buffers of the pooled cross-query sampler, cached across batches so a
-  // solo Estimate() stops paying per-call allocation (the QueryRun the
-  // legacy path builds per query). All row-major, flat:
+  // solo Estimate() or EstimateAggregate() allocates nothing in steady
+  // state. All row-major, flat:
   //   samples  [group_rows, M]  pooled sample matrix (M = model columns)
   //   weights  [group_rows]     running per-row likelihood weights
   struct PooledScratch {
@@ -331,14 +310,18 @@ class ArDensityEstimator : public estimator::Estimator {
     std::vector<int> bucket_head;
     std::vector<nn::Matrix> slice_probs;  // per-GEMM-slice conditionals
   };
-  // Pooled EstimateBatch engine: column-major rounds over one megabatch,
-  // prefix-shared conditionals, optional adaptive budgets. Processes
-  // queries [q_begin, q_end) of qs into estimates (the caller splits the
-  // batch into groups bounding the transient probability-matrix memory).
+  // The progressive-sampling engine (DESIGN.md §14): column-major rounds
+  // over one megabatch, prefix-shared conditionals, optional adaptive
+  // budgets. Processes queries [q_begin, q_end) of qs into estimates (the
+  // caller splits the batch into groups bounding the transient
+  // probability-matrix memory). Query i draws from Rng(seed ^ i), i its
+  // index in the full batch; force_active_col is passed to BuildConstraints.
   // `diags` is empty or one entry per query of the *full* batch, filled for
-  // [q_begin, q_end).
+  // [q_begin, q_end). On return pooled_ holds each query's sample rows and
+  // weights (rows [0, samples_done) of query i start at flat row i * sp).
   void EstimateBatchPooled(std::span<const query::Query> qs, size_t q_begin,
-                           size_t q_end, std::vector<double>& estimates,
+                           size_t q_end, uint64_t seed, int force_active_col,
+                           std::vector<double>& estimates,
                            std::span<estimator::QueryDiagnostics> diags)
       IAM_REQUIRES(batch_mu_);
 
@@ -354,7 +337,10 @@ class ArDensityEstimator : public estimator::Estimator {
   void EncodeStaticColumns();
   void RefreshReducerSamples();
 
-  std::vector<Constraint> BuildConstraints(const query::Query& q) const;
+  // force_active_col >= 0 marks that table column active (full range when
+  // unqueried) so its coordinate is always sampled (aggregation targets).
+  std::vector<Constraint> BuildConstraints(const query::Query& q,
+                                           int force_active_col = -1) const;
 
   ArEstimatorOptions options_;
   size_t table_rows_ = 0;
@@ -381,16 +367,20 @@ class ArDensityEstimator : public estimator::Estimator {
   Rng rng_;  // training-only (sampling rows, shuffling, wildcard masking)
   double last_epoch_loss_ = 0.0;
 
-  // One slot per pool worker. Guarded by the base class's batch mutex: the
+  // One ResMADE evaluation context per pool worker, indexed by the worker id
+  // ParallelFor hands the body. Guarded by the base class's batch mutex: the
   // batch entry points (EstimateBatch, EstimateAggregate) serialize on
   // batch_mu_, so two external callers never share a slot even though the
   // pool hands out the same worker ids to both.
-  std::vector<InferenceScratch> scratch_ IAM_GUARDED_BY(batch_mu_);
-  // Pooled-sampler buffers, reused across batches (same guard as scratch_).
+  std::vector<ar::ResMade::Context> contexts_ IAM_GUARDED_BY(batch_mu_);
+  // Pooled-sampler buffers, reused across batches (same guard as contexts_).
   PooledScratch pooled_ IAM_GUARDED_BY(batch_mu_);
   // Post-estimate corrector; consulted only when options_.enable_corrector.
   std::shared_ptr<const estimator::SelectivityCorrector> corrector_
       IAM_GUARDED_BY(batch_mu_);
+
+  // Test-only access for the per-query reference sampler.
+  friend struct ArDensityEstimatorTestPeer;
 };
 
 }  // namespace iam::core
