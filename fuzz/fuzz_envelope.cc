@@ -1,15 +1,20 @@
 // Fuzz harness for the persisted-model input surface: the checksummed
-// envelope (util/serialize.h) and the two deserializers layered on it —
+// envelope (util/serialize.h) and the deserializers layered on it —
 // core::ArDensityEstimator::LoadFromStream (the serving hot-swap path, which
-// reads a path received over the wire and deserializes whatever it finds)
-// and ar::ResMade::Deserialize.
+// reads a path received over the wire and deserializes whatever it finds),
+// ar::ResMade::Deserialize and bucketize::DomainReducer::Deserialize (fed
+// directly, so mutations reach the reducer fields without a checksum in the
+// way).
 //
-// The first input byte selects the entry point; the rest is the stream.
-// Oracles, beyond "no sanitizer report / no OOM on a declared-huge header":
+// The first input byte selects the entry point (mod 4); the rest is the
+// stream. Oracles, beyond "no sanitizer report / no OOM on a declared-huge
+// header":
 //   * Envelope round trip — a payload that validates re-validates after
 //     being re-written through WriteEnvelope, bit-identically.
 //   * ResMade round trip — a model that deserializes re-serializes to a
 //     stream that deserializes again, with the same shape.
+//   * Reducer round trip — an accepted reducer re-serializes to a stream
+//     that deserializes again, with the same bucket count.
 
 #include <cstdint>
 #include <cstdio>
@@ -19,6 +24,7 @@
 #include <string>
 
 #include "ar/resmade.h"
+#include "bucketize/domain_reducer.h"
 #include "core/ar_density_estimator.h"
 #include "util/serialize.h"
 #include "util/status.h"
@@ -70,11 +76,26 @@ void FuzzResMadeDeserialize(std::istream& in) {
   }
 }
 
+void FuzzReducerDeserialize(std::istream& in) {
+  using iam::bucketize::DomainReducer;
+  const iam::Result<std::unique_ptr<DomainReducer>> reducer =
+      DomainReducer::Deserialize(in);
+  if (!reducer.ok()) return;
+  std::stringstream again(std::ios::in | std::ios::out | std::ios::binary);
+  (*reducer)->Serialize(again);
+  const iam::Result<std::unique_ptr<DomainReducer>> reloaded =
+      DomainReducer::Deserialize(again);
+  if (!reloaded.ok()) Fail("accepted reducer did not re-deserialize");
+  if ((*reloaded)->num_buckets() != (*reducer)->num_buckets()) {
+    Fail("reducer round trip changed the bucket count");
+  }
+}
+
 }  // namespace
 
 extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   if (size == 0) return 0;
-  const uint8_t mode = data[0] % 3;
+  const uint8_t mode = data[0] % 4;
   std::istringstream in(
       std::string(reinterpret_cast<const char*>(data + 1), size - 1),
       std::ios::binary);
@@ -85,8 +106,11 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
     case 1:
       FuzzEstimatorLoad(in);
       break;
-    default:
+    case 2:
       FuzzResMadeDeserialize(in);
+      break;
+    default:
+      FuzzReducerDeserialize(in);
       break;
   }
   return 0;

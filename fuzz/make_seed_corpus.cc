@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "ar/resmade.h"
+#include "bucketize/mixture_reducer.h"
 #include "core/ar_density_estimator.h"
 #include "serve/demo.h"
 #include "serve/protocol.h"
@@ -132,6 +133,22 @@ void MakeEnvelopeSeeds(const std::filesystem::path& dir,
   const std::string resmade_bytes = resmade_out.str();
   WriteSeed(dir, "06_resmade_truncated.bin",
             EnvelopeSeed(2, resmade_bytes.substr(0, resmade_bytes.size() / 3)));
+
+  // Mode 3: one reducer blob per mixture family (Monte-Carlo GMM, Laplace).
+  iam::gmm::Gmm1D gmm(2);
+  gmm.SetComponent(0, 0.0, -1.0, 0.5);
+  gmm.SetComponent(1, 0.5, 2.0, 1.5);
+  std::ostringstream gmm_out(std::ios::binary);
+  iam::bucketize::GmmReducer(gmm, /*samples_per_component=*/64,
+                             /*exact=*/false, /*seed=*/1)
+      .Serialize(gmm_out);
+  WriteSeed(dir, "07_reducer_gmm.bin", EnvelopeSeed(3, gmm_out.str()));
+  iam::gmm::LaplaceMixture1D laplace(2);
+  laplace.SetComponent(0, 0.0, -1.0, 0.5);
+  laplace.SetComponent(1, 0.5, 2.0, 1.5);
+  std::ostringstream laplace_out(std::ios::binary);
+  iam::bucketize::LaplaceReducer(laplace).Serialize(laplace_out);
+  WriteSeed(dir, "08_reducer_laplace.bin", EnvelopeSeed(3, laplace_out.str()));
 }
 
 void MakeQueryParserSeeds(const std::filesystem::path& dir) {

@@ -142,10 +142,11 @@ run_config "${prefix}-tsan-obs" -LE slow -R \
 # gate above for race coverage of the shared pooled scratch. The
 # degree-truncated ResMADE conditionals must match the dense reference
 # network bit for bit, and the kept-list kernel the reference kernel
-# (DESIGN.md §10).
-echo "=== exact-equality gate: pooled sampler, truncated conditionals ==="
+# (DESIGN.md §10). A small GMM-reduced model's estimates and Save() bytes
+# must match their committed golden digests (DESIGN.md §5).
+echo "=== exact-equality gate: pooled sampler, truncated conditionals, golden digests ==="
 ctest --test-dir "${prefix}-default" --output-on-failure -j "${jobs}" \
-  -R '^(PooledSamplerTest\.|Layouts/ResMadeOracleTest\.|KernelsTest\.KeptListKernelMatchesReferenceOnGatheredInputs$)'
+  -R '^(PooledSamplerTest\.|Layouts/ResMadeOracleTest\.|KernelsTest\.KeptListKernelMatchesReferenceOnGatheredInputs$|GoldenDigestTest\.)'
 
 # --- Stage 7: metrics-export smoke test. -----------------------------------
 # Runs the end-to-end demo with --metrics and asserts the Prometheus text

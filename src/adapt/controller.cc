@@ -82,7 +82,8 @@ AdaptController::AdaptController(serve::ModelRegistry& registry,
     if (corrector_->generation() != model.version) {
       corrector_->Reset(model.version);
     }
-    model.estimator->set_corrector(corrector_, options_.enable_corrector);
+    model.estimator->set_corrector(options_.enable_corrector ? corrector_
+                                                             : nullptr);
   });
   last_generation_ = corrector_->generation();
   worker_ = std::thread([this] { WorkerLoop(); });
@@ -340,7 +341,6 @@ void AdaptController::MaybeRetrain() {
   const data::Table table = BuildReservoirTable();
   core::ArEstimatorOptions opts = registry_.Current()->estimator->options();
   opts.epochs = options_.retrain_epochs;
-  opts.enable_corrector = false;  // the install hook decides, per replica
   auto model = std::make_unique<core::ArDensityEstimator>(table, opts);
   double loss = 0.0;
   for (int epoch = 0; epoch < options_.retrain_epochs; ++epoch) {

@@ -8,9 +8,7 @@
 #include <sstream>
 #include <string_view>
 
-#include "bucketize/laplace_reducer.h"
 #include "core/sampling_utils.h"
-#include "gmm/laplace.h"
 #include "gmm/vbgm.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -576,11 +574,11 @@ std::vector<double> ArDensityEstimator::EstimateBatchDiagnosed(
       batch_metrics.query_seconds.Record(per_query);
     }
   }
-  if (options_.enable_corrector && corrector_ != nullptr) {
+  if (corrector_ != nullptr) {
     // Post-estimate correction (DESIGN.md §18): multiply each raw estimate
-    // by the corrector's multiplier for the query's region. When disabled
-    // this loop never executes, so the uncorrected path stays bit-identical
-    // to a build without a corrector (the pooled bit-exactness gates).
+    // by the corrector's multiplier for the query's region. With no
+    // corrector this loop never executes, so the uncorrected path stays
+    // bit-identical to a build without one (the pooled bit-exactness gates).
     for (size_t qi = 0; qi < qs.size(); ++qi) {
       const uint64_t key = CorrectorRegionKey(qs[qi]);
       const double mult = corrector_->MultiplierForRegion(key);
@@ -875,11 +873,9 @@ void ArDensityEstimator::set_adaptive_min_samples(int adaptive_min_samples) {
 }
 
 void ArDensityEstimator::set_corrector(
-    std::shared_ptr<const estimator::SelectivityCorrector> corrector,
-    bool enable) {
+    std::shared_ptr<const estimator::SelectivityCorrector> corrector) {
   util::MutexLock lock(batch_mu_);
   corrector_ = std::move(corrector);
-  options_.enable_corrector = enable && corrector_ != nullptr;
 }
 
 uint64_t ArDensityEstimator::CorrectorRegionKey(const query::Query& q) const {
@@ -999,6 +995,11 @@ constexpr uint32_t kModelFormatVersion = 2;
 Status ArDensityEstimator::Save(const std::string& path) const {
   std::ofstream file(path, std::ios::binary);
   if (!file) return Status::IoError("cannot open " + path + " for writing");
+  if (!Save(file).ok()) return Status::IoError("write failed for " + path);
+  return Status::Ok();
+}
+
+Status ArDensityEstimator::Save(std::ostream& stream) const {
   std::ostringstream out;
   WriteString(out, options_.display_name);
   WritePod<uint8_t>(out, options_.use_domain_reduction ? 1 : 0);
@@ -1029,8 +1030,8 @@ Status ArDensityEstimator::Save(const std::string& path) const {
   WriteVector(out, model_col_owner_);
   WriteVector(out, model_col_role_);
   made_->Serialize(out);
-  WriteEnvelope(file, kModelMagic, kModelFormatVersion, out.str());
-  if (!file) return Status::IoError("write failed for " + path);
+  WriteEnvelope(stream, kModelMagic, kModelFormatVersion, out.str());
+  if (!stream) return Status::IoError("model write failed");
   return Status::Ok();
 }
 
@@ -1161,7 +1162,7 @@ std::optional<double> ArDensityEstimator::GmmNll(int table_col) const {
   }
   const auto* reducer =
       static_cast<const bucketize::GmmReducer*>(col.reducer.get());
-  return reducer->gmm().MeanNegLogLikelihood(train_values_[table_col]);
+  return reducer->mixture().MeanNegLogLikelihood(train_values_[table_col]);
 }
 
 }  // namespace iam::core

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "obs/metrics.h"
 #include "util/macros.h"
@@ -11,13 +12,14 @@
 namespace iam::gmm {
 namespace {
 
-constexpr double kMinSigma = 1e-6;
+constexpr double kMinScale = 1e-6;
 constexpr double kAdamBeta1 = 0.9;
 constexpr double kAdamBeta2 = 0.999;
 constexpr double kAdamEps = 1e-8;
 
 // Mixture-training instrumentation: step counters plus last-seen NLL gauges
 // (the per-epoch convergence signal the benches read; see DESIGN.md §12).
+// Both families count here.
 struct GmmMetrics {
   obs::Counter& em_steps;
   obs::Counter& sgd_steps;
@@ -38,47 +40,145 @@ struct GmmMetrics {
   }
 };
 
+double LaplaceCdf(double x, double mu, double b) {
+  if (x < mu) return 0.5 * std::exp((x - mu) / b);
+  return 1.0 - 0.5 * std::exp(-(x - mu) / b);
+}
+
 }  // namespace
 
-Gmm1D::Gmm1D(int num_components)
+// --- Gaussian family. -------------------------------------------------------
+
+double Gaussian::LogPdf(double x, double mu, double s) {
+  return NormalLogPdf(x, mu, s);
+}
+
+GradTerms Gaussian::Grad(double x, double mu, double s) {
+  // d/d mu: -r (x - mu) / s^2; d/d log s: -r (z^2 - 1).
+  const double z = (x - mu) / s;
+  return {z, z * z - 1.0};
+}
+
+double Gaussian::IntervalMass(double lo, double hi, double mu, double s) {
+  return NormalIntervalMass(lo, hi, mu, s);
+}
+
+double Gaussian::TruncatedMean(double lo, double hi, double mu, double s) {
+  const double a = (lo - mu) / s;
+  const double b = (hi - mu) / s;
+  const double mass = NormalCdf(b) - NormalCdf(a);
+  if (mass < 1e-12) return Clamp(mu, lo, hi);
+  // E[X | a < Z < b] = mu + sigma * (phi(a) - phi(b)) / (Phi(b) - Phi(a)).
+  const double pa = std::isfinite(a) ? NormalPdf(a) : 0.0;
+  const double pb = std::isfinite(b) ? NormalPdf(b) : 0.0;
+  return mu + s * (pa - pb) / mass;
+}
+
+double Gaussian::Sample(double mu, double s, Rng& rng) {
+  return rng.Gaussian(mu, s);
+}
+
+// --- Laplace family. --------------------------------------------------------
+
+double Laplace::LogPdf(double x, double mu, double s) {
+  return -std::abs(x - mu) / s - std::log(2.0 * s);
+}
+
+GradTerms Laplace::Grad(double x, double mu, double s) {
+  // d/d mu: -r sign(x - mu) / b; d/d log b: -r (|x - mu| / b - 1).
+  const double d = x - mu;
+  const double sign = d > 0.0 ? 1.0 : (d < 0.0 ? -1.0 : 0.0);
+  return {sign, std::abs(d) / s - 1.0};
+}
+
+double Laplace::IntervalMass(double lo, double hi, double mu, double s) {
+  return LaplaceCdf(hi, mu, s) - LaplaceCdf(lo, mu, s);
+}
+
+double Laplace::TruncatedMean(double lo, double hi, double mu, double s) {
+  const double mass = IntervalMass(lo, hi, mu, s);
+  if (mass < 1e-12) return Clamp(mu, lo, hi);
+
+  // Piecewise antiderivatives of t * f(t):
+  //   left of mu:  A_l(x) = (x - b)/2 * exp((x - mu)/b)
+  //   right of mu: A_r(x) = -(x + b)/2 * exp(-(x - mu)/b)
+  auto left = [&](double x) {
+    if (!std::isfinite(x)) return 0.0;  // x -> -inf
+    return 0.5 * (x - s) * std::exp((x - mu) / s);
+  };
+  auto right = [&](double x) {
+    if (!std::isfinite(x)) return 0.0;  // x -> +inf
+    return -0.5 * (x + s) * std::exp(-(x - mu) / s);
+  };
+  double integral = 0.0;
+  if (hi <= mu) {
+    integral = left(hi) - left(lo);
+  } else if (lo >= mu) {
+    integral = right(hi) - right(lo);
+  } else {
+    integral = (left(mu) - left(lo)) + (right(hi) - right(mu));
+  }
+  return integral / mass;
+}
+
+double Laplace::Sample(double mu, double s, Rng& rng) {
+  const double u = rng.Uniform() - 0.5;
+  const double sign = u >= 0.0 ? 1.0 : -1.0;
+  return mu - s * sign * std::log(1.0 - 2.0 * std::abs(u));
+}
+
+// --- Mixture1D. -------------------------------------------------------------
+
+template <class Family>
+Mixture1D<Family>::Mixture1D(int num_components)
     : weight_logits_(num_components, 0.0),
-      means_(num_components, 0.0),
-      log_sigmas_(num_components, 0.0),
+      locations_(num_components, 0.0),
+      log_scales_(num_components, 0.0),
       adam_m_(3 * num_components, 0.0),
       adam_v_(3 * num_components, 0.0) {
   IAM_CHECK(num_components >= 1);
 }
 
-double Gmm1D::weight(int k) const {
-  double denom = 0.0;
+template <class Family>
+std::vector<double> Mixture1D<Family>::weights() const {
+  const int k = num_components();
+  std::vector<double> phi(k);
   const double max_logit =
       *std::max_element(weight_logits_.begin(), weight_logits_.end());
-  for (double w : weight_logits_) denom += std::exp(w - max_logit);
-  return std::exp(weight_logits_[k] - max_logit) / denom;
+  double denom = 0.0;
+  for (int j = 0; j < k; ++j) {
+    phi[j] = std::exp(weight_logits_[j] - max_logit);
+    denom += phi[j];
+  }
+  for (int j = 0; j < k; ++j) phi[j] /= denom;
+  return phi;
 }
 
-double Gmm1D::stddev(int k) const {
-  return std::max(kMinSigma, std::exp(log_sigmas_[k]));
+template <class Family>
+double Mixture1D<Family>::scale(int k) const {
+  return std::max(kMinScale, std::exp(log_scales_[k]));
 }
 
-void Gmm1D::SetComponent(int k, double weight_logit, double mean,
-                         double stddev) {
+template <class Family>
+void Mixture1D<Family>::SetComponent(int k, double weight_logit,
+                                     double location, double scale) {
   IAM_CHECK(k >= 0 && k < num_components());
-  IAM_CHECK(stddev > 0.0);
+  IAM_CHECK(scale > 0.0);
   weight_logits_[k] = weight_logit;
-  means_[k] = mean;
-  log_sigmas_[k] = std::log(stddev);
+  locations_[k] = location;
+  log_scales_[k] = std::log(scale);
 }
 
-void Gmm1D::InitFromData(std::span<const double> data, Rng& rng) {
+template <class Family>
+void Mixture1D<Family>::InitFromData(std::span<const double> data, Rng& rng) {
   IAM_CHECK(!data.empty());
   const int k = num_components();
   const MeanVar mv = ComputeMeanVar(data);
-  const double scale =
-      std::max(kMinSigma, std::sqrt(mv.variance) / std::max(1.0, (double)k));
+  const double spread =
+      std::max(kMinScale, std::sqrt(mv.variance) / std::max(1.0, (double)k));
 
-  // K-means++ style seeding: first mean uniform, then proportional to the
-  // squared distance to the closest existing mean.
+  // K-means++ style seeding: first location uniform, then proportional to
+  // the squared distance to the closest existing location.
   std::vector<double> chosen;
   chosen.push_back(data[rng.UniformInt(data.size())]);
   std::vector<double> dist2(data.size());
@@ -95,7 +195,7 @@ void Gmm1D::InitFromData(std::span<const double> data, Rng& rng) {
     }
     if (total <= 0.0) {
       // Fewer distinct values than components: jitter around the mean.
-      chosen.push_back(mv.mean + rng.Gaussian(0.0, scale + kMinSigma));
+      chosen.push_back(mv.mean + rng.Gaussian(0.0, spread + kMinScale));
       continue;
     }
     chosen.push_back(data[rng.CategoricalWithSum(dist2, total)]);
@@ -103,15 +203,16 @@ void Gmm1D::InitFromData(std::span<const double> data, Rng& rng) {
 
   for (int j = 0; j < k; ++j) {
     weight_logits_[j] = 0.0;
-    means_[j] = chosen[j];
-    log_sigmas_[j] = std::log(std::max(kMinSigma, scale));
+    locations_[j] = chosen[j];
+    log_scales_[j] = std::log(spread);
   }
   std::fill(adam_m_.begin(), adam_m_.end(), 0.0);
   std::fill(adam_v_.begin(), adam_v_.end(), 0.0);
   adam_step_ = 0;
 }
 
-std::vector<double> Gmm1D::Responsibilities(double x) const {
+template <class Family>
+std::vector<double> Mixture1D<Family>::LogTerms(double x) const {
   const int k = num_components();
   std::vector<double> log_terms(k);
   const double max_logit =
@@ -121,47 +222,45 @@ std::vector<double> Gmm1D::Responsibilities(double x) const {
   const double log_denom = std::log(denom) + max_logit;
   for (int j = 0; j < k; ++j) {
     log_terms[j] = (weight_logits_[j] - log_denom) +
-                   NormalLogPdf(x, means_[j], stddev(j));
+                   Family::LogPdf(x, locations_[j], scale(j));
   }
-  const double lse = LogSumExp(log_terms);
-  std::vector<double> resp(k);
-  for (int j = 0; j < k; ++j) resp[j] = std::exp(log_terms[j] - lse);
+  return log_terms;
+}
+
+template <class Family>
+std::vector<double> Mixture1D<Family>::Responsibilities(double x) const {
+  std::vector<double> resp = LogTerms(x);
+  const double lse = LogSumExp(resp);
+  for (double& r : resp) r = std::exp(r - lse);
   return resp;
 }
 
-double Gmm1D::NegLogLikelihood(double x) const {
-  const int k = num_components();
-  std::vector<double> log_terms(k);
-  const double max_logit =
-      *std::max_element(weight_logits_.begin(), weight_logits_.end());
-  double denom = 0.0;
-  for (double w : weight_logits_) denom += std::exp(w - max_logit);
-  const double log_denom = std::log(denom) + max_logit;
-  for (int j = 0; j < k; ++j) {
-    log_terms[j] = (weight_logits_[j] - log_denom) +
-                   NormalLogPdf(x, means_[j], stddev(j));
-  }
-  return -LogSumExp(log_terms);
+template <class Family>
+double Mixture1D<Family>::NegLogLikelihood(double x) const {
+  return -LogSumExp(LogTerms(x));
 }
 
-double Gmm1D::MeanNegLogLikelihood(std::span<const double> data) const {
+template <class Family>
+double Mixture1D<Family>::MeanNegLogLikelihood(
+    std::span<const double> data) const {
   IAM_CHECK(!data.empty());
   double total = 0.0;
   for (double x : data) total += NegLogLikelihood(x);
   return total / static_cast<double>(data.size());
 }
 
-int Gmm1D::Assign(double x) const {
+template <class Family>
+int Mixture1D<Family>::Assign(double x) const {
   const int k = num_components();
   int best = 0;
   double best_score = kNegInf;
   const double max_logit =
       *std::max_element(weight_logits_.begin(), weight_logits_.end());
   for (int j = 0; j < k; ++j) {
-    // argmax of phi_k * N_k: the softmax denominator is shared, so logits
+    // argmax of phi_k * f_k: the softmax denominator is shared, so logits
     // can be compared directly (shifted by max for stability).
-    const double score =
-        (weight_logits_[j] - max_logit) + NormalLogPdf(x, means_[j], stddev(j));
+    const double score = (weight_logits_[j] - max_logit) +
+                         Family::LogPdf(x, locations_[j], scale(j));
     if (score > best_score) {
       best_score = score;
       best = j;
@@ -170,44 +269,31 @@ int Gmm1D::Assign(double x) const {
   return best;
 }
 
-double Gmm1D::SgdStep(std::span<const double> batch) {
+template <class Family>
+double Mixture1D<Family>::SgdStep(std::span<const double> batch) {
   IAM_CHECK(!batch.empty());
   const int k = num_components();
   std::vector<double> grad(3 * k, 0.0);
   double total_nll = 0.0;
-
-  // Softmax weights (shared across the batch).
-  std::vector<double> phi(k);
-  {
-    const double max_logit =
-        *std::max_element(weight_logits_.begin(), weight_logits_.end());
-    double denom = 0.0;
-    for (int j = 0; j < k; ++j) {
-      phi[j] = std::exp(weight_logits_[j] - max_logit);
-      denom += phi[j];
-    }
-    for (int j = 0; j < k; ++j) phi[j] /= denom;
-  }
+  const std::vector<double> phi = weights();  // shared across the batch
 
   std::vector<double> log_terms(k);
   const double inv_b = 1.0 / static_cast<double>(batch.size());
   for (double x : batch) {
     for (int j = 0; j < k; ++j) {
       log_terms[j] = std::log(std::max(phi[j], 1e-300)) +
-                     NormalLogPdf(x, means_[j], stddev(j));
+                     Family::LogPdf(x, locations_[j], scale(j));
     }
     const double lse = LogSumExp(log_terms);
     total_nll += -lse;
     for (int j = 0; j < k; ++j) {
       const double r = std::exp(log_terms[j] - lse);  // responsibility
-      const double sigma = stddev(j);
-      const double z = (x - means_[j]) / sigma;
-      // d(-log S)/d w_j   = -(r_j - phi_j)
+      const double s = scale(j);
+      const GradTerms terms = Family::Grad(x, locations_[j], s);
+      // d(-log S)/d w_j = -(r_j - phi_j)
       grad[j] += -(r - phi[j]) * inv_b;
-      // d(-log S)/d mu_j  = -r_j (x - mu_j) / sigma_j^2
-      grad[k + j] += -r * z / sigma * inv_b;
-      // d(-log S)/d log sigma_j = -r_j (z^2 - 1)
-      grad[2 * k + j] += -r * (z * z - 1.0) * inv_b;
+      grad[k + j] += -r * terms.location / s * inv_b;
+      grad[2 * k + j] += -r * terms.log_scale * inv_b;
     }
   }
 
@@ -219,7 +305,8 @@ double Gmm1D::SgdStep(std::span<const double> batch) {
   return mean_nll;
 }
 
-void Gmm1D::AdamUpdate(std::span<const double> grad) {
+template <class Family>
+void Mixture1D<Family>::AdamUpdate(std::span<const double> grad) {
   const int k = num_components();
   IAM_CHECK(static_cast<int>(grad.size()) == 3 * k);
   ++adam_step_;
@@ -234,25 +321,27 @@ void Gmm1D::AdamUpdate(std::span<const double> grad) {
     value -= learning_rate_ * m_hat / (std::sqrt(v_hat) + kAdamEps);
   };
   for (int j = 0; j < k; ++j) update(j, weight_logits_[j]);
-  for (int j = 0; j < k; ++j) update(k + j, means_[j]);
-  for (int j = 0; j < k; ++j) update(2 * k + j, log_sigmas_[j]);
+  for (int j = 0; j < k; ++j) update(k + j, locations_[j]);
+  for (int j = 0; j < k; ++j) update(2 * k + j, log_scales_[j]);
 }
 
-double Gmm1D::EmStep(std::span<const double> data) {
+template <class Family>
+double Mixture1D<Family>::EmStep(std::span<const double> data)
+  requires std::same_as<Family, Gaussian>
+{
   IAM_CHECK(!data.empty());
   const int k = num_components();
   std::vector<double> nk(k, 0.0);
   std::vector<double> sum_x(k, 0.0);
   std::vector<double> sum_x2(k, 0.0);
-  std::vector<double> phi(k);
-  for (int j = 0; j < k; ++j) phi[j] = weight(j);
+  const std::vector<double> phi = weights();
 
   std::vector<double> log_terms(k);
   double total_nll = 0.0;
   for (double x : data) {
     for (int j = 0; j < k; ++j) {
       log_terms[j] = std::log(std::max(phi[j], 1e-300)) +
-                     NormalLogPdf(x, means_[j], stddev(j));
+                     NormalLogPdf(x, locations_[j], scale(j));
     }
     const double lse = LogSumExp(log_terms);
     total_nll += -lse;
@@ -268,10 +357,10 @@ double Gmm1D::EmStep(std::span<const double> data) {
   for (int j = 0; j < k; ++j) {
     if (nk[j] < 1e-10) continue;  // dead component, leave untouched
     const double mu = sum_x[j] / nk[j];
-    const double var = std::max(kMinSigma * kMinSigma,
+    const double var = std::max(kMinScale * kMinScale,
                                 sum_x2[j] / nk[j] - mu * mu);
-    means_[j] = mu;
-    log_sigmas_[j] = 0.5 * std::log(var);
+    locations_[j] = mu;
+    log_scales_[j] = 0.5 * std::log(var);
     weight_logits_[j] = std::log(std::max(nk[j] / n, 1e-300));
   }
   const double mean_nll = total_nll / n;
@@ -281,59 +370,81 @@ double Gmm1D::EmStep(std::span<const double> data) {
   return mean_nll;
 }
 
-double Gmm1D::ComponentIntervalMass(int k, double lo, double hi) const {
+template <class Family>
+double Mixture1D<Family>::ComponentIntervalMass(int k, double lo,
+                                                double hi) const {
   IAM_CHECK(k >= 0 && k < num_components());
   if (lo > hi) return 0.0;
-  return NormalIntervalMass(lo, hi, means_[k], stddev(k));
+  return Family::IntervalMass(lo, hi, locations_[k], scale(k));
 }
 
-double Gmm1D::ComponentTruncatedMean(int k, double lo, double hi) const {
+template <class Family>
+double Mixture1D<Family>::ComponentTruncatedMean(int k, double lo,
+                                                 double hi) const {
   IAM_CHECK(k >= 0 && k < num_components());
-  const double mu = means_[k];
-  const double sigma = stddev(k);
-  const double a = (lo - mu) / sigma;
-  const double b = (hi - mu) / sigma;
-  const double mass = NormalCdf(b) - NormalCdf(a);
-  if (mass < 1e-12) return Clamp(mu, lo, hi);
-  // E[X | a < Z < b] = mu + sigma * (phi(a) - phi(b)) / (Phi(b) - Phi(a)).
-  const double pa = std::isfinite(a) ? NormalPdf(a) : 0.0;
-  const double pb = std::isfinite(b) ? NormalPdf(b) : 0.0;
-  return mu + sigma * (pa - pb) / mass;
+  return Family::TruncatedMean(lo, hi, locations_[k], scale(k));
 }
 
-double Gmm1D::SampleComponent(int k, Rng& rng) const {
+template <class Family>
+double Mixture1D<Family>::SampleComponent(int k, Rng& rng) const {
   IAM_CHECK(k >= 0 && k < num_components());
-  return rng.Gaussian(means_[k], stddev(k));
+  return Family::Sample(locations_[k], scale(k), rng);
 }
 
-double Gmm1D::Sample(Rng& rng) const {
-  const int k = num_components();
-  std::vector<double> weights(k);
-  for (int j = 0; j < k; ++j) weights[j] = weight(j);
-  return SampleComponent(static_cast<int>(rng.Categorical(weights)), rng);
+template <class Family>
+double Mixture1D<Family>::Sample(Rng& rng) const {
+  return SampleComponent(static_cast<int>(rng.Categorical(weights())), rng);
 }
 
-void Gmm1D::Serialize(std::ostream& out) const {
+template <class Family>
+void Mixture1D<Family>::Serialize(std::ostream& out) const {
   WriteVector(out, weight_logits_);
-  WriteVector(out, means_);
-  WriteVector(out, log_sigmas_);
+  WriteVector(out, locations_);
+  WriteVector(out, log_scales_);
 }
 
-Result<Gmm1D> Gmm1D::Deserialize(std::istream& in) {
-  std::vector<double> logits, means, log_sigmas;
+template <class Family>
+Result<Mixture1D<Family>> Mixture1D<Family>::Deserialize(std::istream& in) {
+  std::vector<double> logits, locations, log_scales;
   IAM_RETURN_IF_ERROR(ReadVector(in, &logits));
-  IAM_RETURN_IF_ERROR(ReadVector(in, &means));
-  IAM_RETURN_IF_ERROR(ReadVector(in, &log_sigmas));
-  if (logits.empty() || logits.size() != means.size() ||
-      means.size() != log_sigmas.size()) {
-    return Status::IoError("inconsistent GMM blob");
+  IAM_RETURN_IF_ERROR(ReadVector(in, &locations));
+  IAM_RETURN_IF_ERROR(ReadVector(in, &log_scales));
+  if (logits.empty() || logits.size() != locations.size() ||
+      locations.size() != log_scales.size()) {
+    return Status::IoError("inconsistent mixture blob");
   }
-  Gmm1D gmm(static_cast<int>(means.size()));
-  gmm.weight_logits_ = std::move(logits);
-  gmm.means_ = std::move(means);
-  gmm.log_sigmas_ = std::move(log_sigmas);
-  return gmm;
+  Mixture1D mixture(static_cast<int>(locations.size()));
+  mixture.weight_logits_ = std::move(logits);
+  mixture.locations_ = std::move(locations);
+  mixture.log_scales_ = std::move(log_scales);
+  // Finite locations and scales keep every component draw a number (never
+  // NaN), which the sorted Monte-Carlo index relies on.
+  for (int k = 0; k < mixture.num_components(); ++k) {
+    if (!std::isfinite(mixture.location(k)) ||
+        !std::isfinite(mixture.scale(k))) {
+      return Status::IoError("non-finite mixture parameter");
+    }
+  }
+  return mixture;
 }
+
+template <class Family>
+std::vector<double> ExactRangeMass(const Mixture1D<Family>& mixture, double lo,
+                                   double hi) {
+  std::vector<double> mass(mixture.num_components());
+  for (int k = 0; k < mixture.num_components(); ++k) {
+    mass[k] = mixture.ComponentIntervalMass(k, lo, hi);
+  }
+  return mass;
+}
+
+template class Mixture1D<Gaussian>;
+template class Mixture1D<Laplace>;
+template std::vector<double> ExactRangeMass(const Gmm1D&, double, double);
+template std::vector<double> ExactRangeMass(const LaplaceMixture1D&, double,
+                                            double);
+
+// --- ComponentSampleIndex. --------------------------------------------------
 
 ComponentSampleIndex::ComponentSampleIndex(const Gmm1D& gmm,
                                            int samples_per_component,
@@ -364,14 +475,6 @@ std::vector<double> ComponentSampleIndex::RangeMass(double lo,
                                                     double hi) const {
   std::vector<double> mass(num_components());
   for (int k = 0; k < num_components(); ++k) mass[k] = Mass(k, lo, hi);
-  return mass;
-}
-
-std::vector<double> ExactRangeMass(const Gmm1D& gmm, double lo, double hi) {
-  std::vector<double> mass(gmm.num_components());
-  for (int k = 0; k < gmm.num_components(); ++k) {
-    mass[k] = gmm.ComponentIntervalMass(k, lo, hi);
-  }
   return mass;
 }
 

@@ -244,29 +244,24 @@ TEST_F(CorrectorEstimatorTest, DisabledCorrectorIsBitExact) {
   const std::vector<query::Query> queries = ParseAll();
   const std::vector<double> baseline = model_->EstimateBatch(queries);
 
-  // Installed but disabled: the correction loop must not run at all.
+  // Installed, then removed: once removed the correction loop must not run
+  // at all.
   auto corrector = std::make_shared<adapt::RegionCorrector>();
   for (const query::Query& q : queries) {
     corrector->Observe(model_->CorrectorRegionKey(q), 0.01, 0.9);
   }
-  model_->set_corrector(corrector, /*enable=*/false);
-  const std::vector<double> disabled = model_->EstimateBatch(queries);
+  model_->set_corrector(corrector);
+  EXPECT_NE(model_->EstimateBatch(queries), baseline);
+  model_->set_corrector(nullptr);
+  const std::vector<double> removed = model_->EstimateBatch(queries);
   for (size_t i = 0; i < baseline.size(); ++i) {
-    EXPECT_EQ(disabled[i], baseline[i]) << "query " << i;  // bit-exact
-  }
-
-  // Null corrector with enable requested: enable_corrector stays off.
-  model_->set_corrector(nullptr, /*enable=*/true);
-  EXPECT_FALSE(model_->options().enable_corrector);
-  const std::vector<double> null_corrector = model_->EstimateBatch(queries);
-  for (size_t i = 0; i < baseline.size(); ++i) {
-    EXPECT_EQ(null_corrector[i], baseline[i]) << "query " << i;
+    EXPECT_EQ(removed[i], baseline[i]) << "query " << i;  // bit-exact
   }
 }
 
 TEST_F(CorrectorEstimatorTest, EnabledCorrectorScalesEstimates) {
   const std::vector<query::Query> queries = ParseAll();
-  model_->set_corrector(nullptr, false);
+  model_->set_corrector(nullptr);
   const std::vector<double> baseline = model_->EstimateBatch(queries);
 
   adapt::CorrectorOptions options;
@@ -276,11 +271,11 @@ TEST_F(CorrectorEstimatorTest, EnabledCorrectorScalesEstimates) {
   // Teach the corrector that query 0's region is 2x underestimated.
   const uint64_t key0 = model_->CorrectorRegionKey(queries[0]);
   corrector->Observe(key0, 0.1, 0.2);
-  model_->set_corrector(corrector, /*enable=*/true);
+  model_->set_corrector(corrector);
   std::vector<estimator::QueryDiagnostics> diags(queries.size());
   const std::vector<double> corrected =
       model_->EstimateBatchDiagnosed(queries, diags);
-  model_->set_corrector(nullptr, false);
+  model_->set_corrector(nullptr);
 
   EXPECT_NEAR(corrected[0], std::min(1.0, baseline[0] * 2.0), 1e-12);
   EXPECT_EQ(diags[0].region_key, key0);

@@ -5,8 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "bucketize/domain_reducer.h"
-#include "bucketize/gmm_reducer.h"
-#include "bucketize/laplace_reducer.h"
+#include "bucketize/mixture_reducer.h"
 #include "util/random.h"
 
 namespace iam::bucketize {
@@ -200,7 +199,7 @@ TEST(GmmReducerTest, ExactModeMatchesErf) {
   GmmReducer exact(std::move(g), 10, /*exact=*/true, 1);
   const auto mass = exact.RangeMass(-3.0, 0.0);
   EXPECT_NEAR(mass[0],
-              gmm::ExactRangeMass(exact.gmm(), -3.0, 0.0)[0], 1e-12);
+              gmm::ExactRangeMass(exact.mixture(), -3.0, 0.0)[0], 1e-12);
 }
 
 TEST(GmmReducerTest, RefreshSamplesTracksUpdatedGmm) {
@@ -209,7 +208,7 @@ TEST(GmmReducerTest, RefreshSamplesTracksUpdatedGmm) {
   GmmReducer reducer(std::move(g), 20000, /*exact=*/false, 2);
   EXPECT_NEAR(reducer.RangeMass(-1.0, 1.0)[0], 0.6827, 0.02);
   // Move the component and refresh; the mass must follow.
-  reducer.mutable_gmm().SetComponent(0, 0.0, 100.0, 1.0);
+  reducer.mutable_mixture().SetComponent(0, 0.0, 100.0, 1.0);
   reducer.RefreshSamples(3);
   EXPECT_NEAR(reducer.RangeMass(-1.0, 1.0)[0], 0.0, 0.01);
   EXPECT_NEAR(reducer.RangeMass(99.0, 101.0)[0], 0.6827, 0.02);

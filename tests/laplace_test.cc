@@ -3,11 +3,11 @@
 
 #include <gtest/gtest.h>
 
-#include "bucketize/laplace_reducer.h"
+#include "bucketize/mixture_reducer.h"
 #include "core/ar_density_estimator.h"
 #include "core/presets.h"
 #include "data/synthetic.h"
-#include "gmm/laplace.h"
+#include "gmm/gmm1d.h"
 #include "query/query.h"
 #include "util/random.h"
 
