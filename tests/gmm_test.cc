@@ -30,7 +30,7 @@ TEST(Gmm1DTest, EmRecoversTwoModes) {
   for (int it = 0; it < 50; ++it) gmm.EmStep(data);
 
   std::vector<std::pair<double, double>> comps;  // (mean, weight)
-  for (int k = 0; k < 2; ++k) comps.emplace_back(gmm.mean(k), gmm.weight(k));
+  for (int k = 0; k < 2; ++k) comps.emplace_back(gmm.location(k), gmm.weight(k));
   std::sort(comps.begin(), comps.end());
   EXPECT_NEAR(comps[0].first, -5.0, 0.2);
   EXPECT_NEAR(comps[1].first, 4.0, 0.2);
@@ -157,8 +157,8 @@ TEST(VbgmTest, SelectsApproximatelyTwoComponents) {
   // Both modes should be represented among the surviving means.
   bool has_low = false, has_high = false;
   for (int k = 0; k < result.gmm.num_components(); ++k) {
-    if (std::abs(result.gmm.mean(k) + 5.0) < 1.0) has_low = true;
-    if (std::abs(result.gmm.mean(k) - 4.0) < 1.5) has_high = true;
+    if (std::abs(result.gmm.location(k) + 5.0) < 1.0) has_low = true;
+    if (std::abs(result.gmm.location(k) - 4.0) < 1.5) has_high = true;
   }
   EXPECT_TRUE(has_low);
   EXPECT_TRUE(has_high);
