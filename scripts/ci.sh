@@ -4,11 +4,13 @@
 #   1. lint        scripts/lint.sh --all — format + full clang-tidy sweep
 #                  (when clang tooling is installed, including the iam-*
 #                  plugin checks) + the always-on repo-specific grep bans.
-#   2. default     portable build, full ctest.
-#   3. native      IAM_NATIVE=ON (-march=native kernels), full ctest. The
-#                  default/native pair is the bit-compatibility contract of
-#                  DESIGN.md §10 — exact equality in the first, tolerance-
-#                  based in the second — so both must stay green.
+#   2. default     portable build, full ctest. Its kernel tests run every
+#                  kernel arm (SSE, AVX2, AVX-512) the host CPU supports.
+#   3. fma guard   the default build's kernels.cc.o must hold no fused
+#                  multiply-add: the AVX-512 arm's target implies FMA, and
+#                  only -ffp-contract=off keeps the compiler from fusing
+#                  (which would change the bits every arm shares with the
+#                  reference kernels, DESIGN.md §10).
 #   4. ubsan       IAM_SANITIZE=undefined, quick gate (ctest -LE 'slow|net').
 #   5. werror      clang-only: -Wthread-safety -Werror build (IAM_WERROR=ON),
 #                  no test run — this is the lock-discipline gate; breaking
@@ -46,7 +48,7 @@
 #
 # Sanitizer configs run `ctest -LE 'slow|net'` (`slow` marks the multi-second
 # training/VBGMM cases, `net` the loopback-socket serving tests) so a full CI
-# round stays bounded; the default and native configs always run everything.
+# round stays bounded; the default config always runs everything.
 #
 # clang is optional: stages 1 and 5 degrade to a skip on a gcc-only host.
 # Set IAM_CI_REQUIRE_CLANG=1 (the clang CI lane does) to turn a missing
@@ -88,9 +90,24 @@ echo "=== configure ${prefix}-default (for compile_commands.json) ==="
 cmake -B "${prefix}-default" -S . >/dev/null
 scripts/lint.sh --all "${prefix}-default"
 
-# --- Stages 2-3: portable + native, full suite. ----------------------------
+# --- Stage 2: portable build, full suite. ----------------------------------
 run_config "${prefix}-default" --
-run_config "${prefix}-native" -- -DIAM_NATIVE=ON
+
+# --- Stage 3: no FMA contraction in the kernel arms. -----------------------
+# A later flag change that lets the compiler contract a * b + c into an FMA
+# inside the AVX-512 arm would move estimates silently; fail it here.
+kernels_obj="${prefix}-default/src/nn/CMakeFiles/iam_nn.dir/kernels.cc.o"
+if [[ ! -f "${kernels_obj}" ]]; then
+  echo "ci: FATAL: ${kernels_obj} not found for the FMA guard" >&2
+  exit 1
+fi
+fma_count="$(objdump -d "${kernels_obj}" | grep -cE 'vfn?m(add|sub)' || true)"
+if [[ "${fma_count}" -ne 0 ]]; then
+  echo "ci: FATAL: ${kernels_obj} holds ${fma_count} FMA instructions;" \
+       "iam_nn must build with -ffp-contract=off (DESIGN.md §10)" >&2
+  exit 1
+fi
+echo "fma guard OK (no FMA in kernels.cc.o)"
 
 # --- Stage 4: UBSan quick gate. --------------------------------------------
 # The "net" label (loopback-socket serving tests) joins "slow" in the quick
@@ -141,12 +158,13 @@ run_config "${prefix}-tsan-obs" -LE slow -R \
 # default (portable, exact-equality) build. The same suite rides the TSan
 # gate above for race coverage of the shared pooled scratch. The
 # degree-truncated ResMADE conditionals must match the dense reference
-# network bit for bit, and the kept-list kernel the reference kernel
+# network bit for bit, the kept-list kernel the reference kernel on every
+# arm the CPU runs, and all arms each other at the ResMADE shapes
 # (DESIGN.md §10). A small GMM-reduced model's estimates and Save() bytes
 # must match their committed golden digests (DESIGN.md §5).
-echo "=== exact-equality gate: pooled sampler, truncated conditionals, golden digests ==="
+echo "=== exact-equality gate: pooled sampler, truncated conditionals, kernel arms, golden digests ==="
 ctest --test-dir "${prefix}-default" --output-on-failure -j "${jobs}" \
-  -R '^(PooledSamplerTest\.|Layouts/ResMadeOracleTest\.|KernelsTest\.KeptListKernelMatchesReferenceOnGatheredInputs$|GoldenDigestTest\.)'
+  -R '^(PooledSamplerTest\.|Layouts/ResMadeOracleTest\.|KernelsTest\.KeptListKernelMatchesReferenceOnGatheredInputs$|KernelsTest\.AllArmsAgreeBitwiseAtResMadeShapes$|Isa/KernelArmTest\.|GoldenDigestTest\.)'
 
 # --- Stage 7: metrics-export smoke test. -----------------------------------
 # Runs the end-to-end demo with --metrics and asserts the Prometheus text

@@ -15,11 +15,14 @@
 //  - the tiled kernels below: register-blocked over output strips and the
 //    batch. Every output accumulator sums its reduction in the same index
 //    order as the reference, so no floating-point reassociation happens and
-//    the fast kernels are bit-compatible with the reference in the portable
-//    build. The IAM_NATIVE build (-march=native) may contract mul+add into
-//    FMA, which can move results by ULPs relative to the portable build, but
-//    fast and reference kernels inside one build always agree (same
-//    expression shapes, same contraction). See DESIGN.md §10.
+//    the fast kernels are bit-compatible with the reference.
+// The tiled kernels exist in three arms — AVX-512F, AVX2 and portable SSE —
+// compiled from one source through per-function target attributes, and the
+// widest arm the CPU supports is chosen from CPUID on the first call (no
+// build flag or setting picks it; the gauge iam_nn_kernel_isa reports it).
+// The arms differ only in vector width; none fuses a multiply into an add
+// (iam_nn builds with -ffp-contract=off), so every arm gives the same bits
+// on every host. See DESIGN.md §10 and nn/kernel_arms.h.
 namespace iam::nn {
 
 // --- Reference kernels (golden semantics). --------------------------------
@@ -44,8 +47,9 @@ void LinearBackwardRef(const Matrix& x, const Matrix& w, const Matrix& dy,
 // every input; small batches use a row-major tile that amortizes the x
 // loads over several output rows. `wt_scratch` is a caller-owned transpose
 // buffer (grown on demand, reused across calls); the kernel layer itself
-// keeps no state, hidden or otherwise, so thread-safety is entirely the
-// caller's scratch ownership — see DESIGN.md §11.
+// keeps no mutable state (the arm is chosen once, under a thread-safe static
+// initializer), so thread-safety is entirely the caller's scratch ownership
+// — see DESIGN.md §11.
 void LinearForward(const Matrix& x, const Matrix& w,
                    std::span<const float> bias, Matrix& y, Matrix& wt_scratch);
 
@@ -61,8 +65,9 @@ void LinearReluForward(const Matrix& x, const Matrix& w,
 // names the input lanes to read — the full list 0..in-1 is the dense
 // product, a sublist skips inputs whose weights are known to be zero — and
 // `wt` may point into a wider matrix to evaluate a window of its columns.
-// Tiles are 4 batch rows × 8 outputs with 4-wide and scalar remainders; the
-// gathered x of each row block is packed once and shared by every strip.
+// Tiles are 4 batch rows × two vectors of the arm's width (8, 16 or 32
+// outputs), with narrower and scalar remainders; the gathered x of each row
+// block is packed once and shared by every strip.
 // Rows are computed independently, so a row's output does not depend on the
 // batch it rides in. bias must have exactly `out` entries or be empty.
 void LinearForwardT(const Matrix& x, std::span<const int> kept,

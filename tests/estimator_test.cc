@@ -324,14 +324,9 @@ TEST(MscnTest, BatchMatchesSingle) {
   const auto train = query::GenerateEvaluatedWorkload(Wisdm(), wopts, rng);
   est.Train(train.queries, train.true_selectivities);
   const auto batch = est.EstimateBatch(train.queries);
-  // The linear kernels dispatch on batch size; in the portable build every
-  // path is bit-compatible, but under IAM_NATIVE FMA contraction can differ
-  // between the batch-1 and batched paths by ULPs (DESIGN.md §10).
-#ifdef IAM_NATIVE
-  constexpr double kTol = 1e-6;
-#else
+  // The linear kernels dispatch on batch size; every path is
+  // bit-compatible with the reference kernels (DESIGN.md §10).
   constexpr double kTol = 1e-9;
-#endif
   for (size_t i = 0; i < train.queries.size(); ++i) {
     EXPECT_NEAR(batch[i], est.Estimate(train.queries[i]), kTol);
   }

@@ -1,34 +1,34 @@
 #include "nn/kernels.h"
 
-#include <cmath>
+#include <algorithm>
 #include <cstdint>
+#include <cstring>
+#include <span>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "nn/kernel_arms.h"
 #include "nn/matrix.h"
+#include "obs/metrics.h"
 #include "util/random.h"
 
 namespace iam::nn {
 namespace {
 
-// In the portable build the tiled kernels accumulate in the same index order
-// as the reference, so results must match bitwise. The IAM_NATIVE build may
-// contract mul+add chains into FMA differently between the two loop shapes,
-// so there we allow a small relative tolerance instead. See DESIGN.md §10.
+using internal::KernelArm;
+
+// The tiled kernels accumulate in the same index order as the reference, on
+// every arm, so results must match bitwise. See DESIGN.md §10.
 void ExpectSameMatrix(const Matrix& got, const Matrix& want) {
   ASSERT_EQ(got.rows(), want.rows());
   ASSERT_EQ(got.cols(), want.cols());
   for (int r = 0; r < want.rows(); ++r) {
     for (int c = 0; c < want.cols(); ++c) {
-#ifdef IAM_NATIVE
-      EXPECT_NEAR(got.at(r, c), want.at(r, c),
-                  1e-4f * (1.0f + std::fabs(want.at(r, c))))
-          << "at (" << r << ", " << c << ")";
-#else
       EXPECT_EQ(got.at(r, c), want.at(r, c))
           << "at (" << r << ", " << c << ")";
-#endif
     }
   }
 }
@@ -36,14 +36,14 @@ void ExpectSameMatrix(const Matrix& got, const Matrix& want) {
 void ExpectSameSpan(std::span<const float> got, std::span<const float> want) {
   ASSERT_EQ(got.size(), want.size());
   for (size_t i = 0; i < want.size(); ++i) {
-#ifdef IAM_NATIVE
-    EXPECT_NEAR(got[i], want[i], 1e-4f * (1.0f + std::fabs(want[i])))
-        << "at " << i;
-#else
     EXPECT_EQ(got[i], want[i]) << "at " << i;
-#endif
   }
 }
+
+// The public entry points, which run the arm internal::ChosenArm() picked.
+const KernelArm kPublic = {"public",         &LinearForward,
+                           &LinearReluForward, &LinearForwardT,
+                           &SparseLinearForward, &LinearBackward};
 
 void FillRandom(Matrix& m, Rng& rng) {
   for (int r = 0; r < m.rows(); ++r) {
@@ -81,7 +81,7 @@ TEST(KernelsTest, MatrixStorageIsCacheLineAligned) {
   }
 }
 
-TEST(KernelsTest, LinearForwardMatchesReferenceAcrossShapes) {
+void CheckLinearForwardMatchesReferenceAcrossShapes(const KernelArm& k) {
   Rng rng(0x5eed1);
   for (int batch : kBatches) {
     for (int in : kWidths) {
@@ -93,19 +93,19 @@ TEST(KernelsTest, LinearForwardMatchesReferenceAcrossShapes) {
 
         Matrix want, got, wt_scratch;
         LinearForwardRef(x, w, bias, want);
-        LinearForward(x, w, bias, got, wt_scratch);
+        k.linear_forward(x, w, bias, got, wt_scratch);
         ExpectSameMatrix(got, want);
 
         // Empty bias path.
         LinearForwardRef(x, w, {}, want);
-        LinearForward(x, w, {}, got, wt_scratch);
+        k.linear_forward(x, w, {}, got, wt_scratch);
         ExpectSameMatrix(got, want);
       }
     }
   }
 }
 
-TEST(KernelsTest, FusedReluMatchesReferenceThenRelu) {
+void CheckFusedReluMatchesReferenceThenRelu(const KernelArm& k) {
   Rng rng(0x5eed2);
   for (int batch : {1, 3, 17}) {
     for (int in : kWidths) {
@@ -124,14 +124,14 @@ TEST(KernelsTest, FusedReluMatchesReferenceThenRelu) {
           }
         }
         Matrix got, wt_scratch;
-        LinearReluForward(x, w, bias, got, wt_scratch);
+        k.linear_relu_forward(x, w, bias, got, wt_scratch);
         ExpectSameMatrix(got, want);
       }
     }
   }
 }
 
-TEST(KernelsTest, TransposedKernelsMatchReference) {
+void CheckTransposedKernelsMatchReference(const KernelArm& k) {
   Rng rng(0x5eed3);
   for (int batch : {1, 5, 32}) {
     for (int in : {1, 7, 33, 100}) {
@@ -147,7 +147,7 @@ TEST(KernelsTest, TransposedKernelsMatchReference) {
         const std::vector<int> all = AllInputs(in);
         Matrix want, got;
         LinearForwardRef(x, w, bias, want);
-        LinearForwardT(x, all, wt.data(), out, out, bias, got,
+        k.linear_forward_t(x, all, wt.data(), out, out, bias, got,
                        /*fuse_relu=*/false);
         ExpectSameMatrix(got, want);
 
@@ -156,7 +156,7 @@ TEST(KernelsTest, TransposedKernelsMatchReference) {
             if (!(want.at(r, c) > 0.0f)) want.at(r, c) = 0.0f;
           }
         }
-        LinearForwardT(x, all, wt.data(), out, out, bias, got,
+        k.linear_forward_t(x, all, wt.data(), out, out, bias, got,
                        /*fuse_relu=*/true);
         ExpectSameMatrix(got, want);
       }
@@ -164,7 +164,7 @@ TEST(KernelsTest, TransposedKernelsMatchReference) {
   }
 }
 
-TEST(KernelsTest, ForwardTSliceMatchesColumnWindowOfFullProduct) {
+void CheckForwardTSliceMatchesColumnWindowOfFullProduct(const KernelArm& k) {
   Rng rng(0x5eed4);
   const int batch = 9, in = 37, out = 71;
   Matrix x(batch, in), w(out, in), wt;
@@ -182,19 +182,14 @@ TEST(KernelsTest, ForwardTSliceMatchesColumnWindowOfFullProduct) {
                                    std::pair{out - 1, 1},
                                    std::pair{out - 17, 17}}) {
     Matrix got;
-    LinearForwardT(x, AllInputs(in), wt.data() + col0, wt.cols(), width,
+    k.linear_forward_t(x, AllInputs(in), wt.data() + col0, wt.cols(), width,
                    std::span<const float>(bias).subspan(col0, width), got,
                    /*fuse_relu=*/false);
     ASSERT_EQ(got.rows(), batch);
     ASSERT_EQ(got.cols(), width);
     for (int r = 0; r < batch; ++r) {
       for (int c = 0; c < width; ++c) {
-#ifdef IAM_NATIVE
-        EXPECT_NEAR(got.at(r, c), full.at(r, col0 + c),
-                    1e-4f * (1.0f + std::fabs(full.at(r, col0 + c))));
-#else
         EXPECT_EQ(got.at(r, c), full.at(r, col0 + c));
-#endif
       }
     }
   }
@@ -205,7 +200,7 @@ TEST(KernelsTest, ForwardTSliceMatchesColumnWindowOfFullProduct) {
 // matrix, over batches 1..9 so every remainder of the 4-row blocks runs.
 // The oracle is the reference kernel over the gathered inputs and the
 // prefix's weights, which adds the same terms in the same order.
-TEST(KernelsTest, KeptListKernelMatchesReferenceOnGatheredInputs) {
+void CheckKeptListKernelMatchesReferenceOnGatheredInputs(const KernelArm& k) {
   Rng rng(0x5eed7);
   for (int trial = 0; trial < 300; ++trial) {
     const int batch = 1 + static_cast<int>(rng.UniformInt(9));
@@ -245,12 +240,12 @@ TEST(KernelsTest, KeptListKernelMatchesReferenceOnGatheredInputs) {
       }
     }
     Matrix got;
-    LinearForwardT(x, kept, wt.data(), width, out, bias, got, relu);
+    k.linear_forward_t(x, kept, wt.data(), width, out, bias, got, relu);
     ExpectSameMatrix(got, want);
   }
 }
 
-TEST(KernelsTest, SparseForwardMatchesDenseOnSparseInput) {
+void CheckSparseForwardMatchesDenseOnSparseInput(const KernelArm& k) {
   Rng rng(0x5eed5);
   for (int batch : {1, 4, 19}) {
     for (int in : {8, 37, 120}) {
@@ -282,7 +277,7 @@ TEST(KernelsTest, SparseForwardMatchesDenseOnSparseInput) {
 
         Matrix want, got;
         LinearForwardRef(x, w, bias, want);
-        SparseLinearForward(sx, wt, out, bias, got, /*fuse_relu=*/false);
+        k.sparse_linear_forward(sx, wt, out, bias, got, /*fuse_relu=*/false);
         ExpectSameMatrix(got, want);
 
         for (int r = 0; r < want.rows(); ++r) {
@@ -290,21 +285,21 @@ TEST(KernelsTest, SparseForwardMatchesDenseOnSparseInput) {
             if (!(want.at(r, c) > 0.0f)) want.at(r, c) = 0.0f;
           }
         }
-        SparseLinearForward(sx, wt, out, bias, got, /*fuse_relu=*/true);
+        k.sparse_linear_forward(sx, wt, out, bias, got, /*fuse_relu=*/true);
         ExpectSameMatrix(got, want);
       }
     }
   }
 }
 
-TEST(KernelsTest, SparseForwardHandlesAllEmptyRows) {
+void CheckSparseForwardHandlesAllEmptyRows(const KernelArm& k) {
   SparseRows sx;
   sx.Reset(16);
   for (int r = 0; r < 3; ++r) sx.EndRow();
   Matrix wt(16, 5);
   std::vector<float> bias = {1.0f, -2.0f, 0.5f, 0.0f, 3.0f};
   Matrix y;
-  SparseLinearForward(sx, wt, 5, bias, y, /*fuse_relu=*/false);
+  k.sparse_linear_forward(sx, wt, 5, bias, y, /*fuse_relu=*/false);
   ASSERT_EQ(y.rows(), 3);
   ASSERT_EQ(y.cols(), 5);
   for (int r = 0; r < 3; ++r) {
@@ -312,7 +307,7 @@ TEST(KernelsTest, SparseForwardHandlesAllEmptyRows) {
   }
 }
 
-TEST(KernelsTest, LinearBackwardMatchesReferenceWithZeroRows) {
+void CheckLinearBackwardMatchesReferenceWithZeroRows(const KernelArm& k) {
   Rng rng(0x5eed6);
   for (int batch : kBatches) {
     for (int in : {1, 5, 33, 64}) {
@@ -337,7 +332,7 @@ TEST(KernelsTest, LinearBackwardMatchesReferenceWithZeroRows) {
         std::vector<float> dbias_got = dbias_want;
 
         LinearBackwardRef(x, w, dy, dx_want, dw_want, dbias_want);
-        LinearBackward(x, w, dy, dx_got, dw_got, dbias_got);
+        k.linear_backward(x, w, dy, dx_got, dw_got, dbias_got);
         ExpectSameMatrix(dx_got, dx_want);
         ExpectSameMatrix(dw_got, dw_want);
         ExpectSameSpan(dbias_got, dbias_want);
@@ -345,6 +340,211 @@ TEST(KernelsTest, LinearBackwardMatchesReferenceWithZeroRows) {
     }
   }
 }
+
+TEST(KernelsTest, LinearForwardMatchesReferenceAcrossShapes) {
+  CheckLinearForwardMatchesReferenceAcrossShapes(kPublic);
+}
+TEST(KernelsTest, FusedReluMatchesReferenceThenRelu) {
+  CheckFusedReluMatchesReferenceThenRelu(kPublic);
+}
+TEST(KernelsTest, TransposedKernelsMatchReference) {
+  CheckTransposedKernelsMatchReference(kPublic);
+}
+TEST(KernelsTest, ForwardTSliceMatchesColumnWindowOfFullProduct) {
+  CheckForwardTSliceMatchesColumnWindowOfFullProduct(kPublic);
+}
+TEST(KernelsTest, KeptListKernelMatchesReferenceOnGatheredInputs) {
+  CheckKeptListKernelMatchesReferenceOnGatheredInputs(kPublic);
+}
+TEST(KernelsTest, SparseForwardMatchesDenseOnSparseInput) {
+  CheckSparseForwardMatchesDenseOnSparseInput(kPublic);
+}
+TEST(KernelsTest, SparseForwardHandlesAllEmptyRows) {
+  CheckSparseForwardHandlesAllEmptyRows(kPublic);
+}
+TEST(KernelsTest, LinearBackwardMatchesReferenceWithZeroRows) {
+  CheckLinearBackwardMatchesReferenceWithZeroRows(kPublic);
+}
+
+// Bitwise equality, -0.0f against +0.0f included.
+void ExpectSameBits(const Matrix& got, const Matrix& want,
+                    const std::string& where) {
+  ASSERT_EQ(got.rows(), want.rows()) << where;
+  ASSERT_EQ(got.cols(), want.cols()) << where;
+  EXPECT_EQ(std::memcmp(got.data(), want.data(), want.size() * sizeof(float)),
+            0)
+      << where;
+}
+
+// The hidden layers of the paper-configured ResMADE (256-128-128-256, so
+// in × out of 256×128, 128×128 and 128×256) run as the sampler runs them:
+// for each target column, the input units of degree at most the column in
+// ascending index, and the degree-sorted prefix of the outputs; then a
+// 30-logit window at a nonzero offset of a wider output layer, and the
+// training forward and backward at the full shapes. Every arm the CPU runs
+// must give the portable arm's bits.
+TEST(KernelsTest, AllArmsAgreeBitwiseAtResMadeShapes) {
+  std::vector<const KernelArm*> arms;
+  for (const char* isa : {"sse", "avx2", "avx512"}) {
+    if (const KernelArm* arm = internal::FindArm(isa)) arms.push_back(arm);
+  }
+  ASSERT_FALSE(arms.empty());
+  const KernelArm& base = *arms.front();
+  Rng rng(0x5eed8);
+  constexpr int kColumns = 7;  // the HIGGS analogue's column count
+  for (const auto& [in, out] :
+       {std::pair{256, 128}, std::pair{128, 128}, std::pair{128, 256}}) {
+    const std::string shape = std::to_string(in) + "x" + std::to_string(out);
+    std::vector<int> in_degree(in), out_degree(out);
+    for (int& d : in_degree) d = static_cast<int>(rng.UniformInt(kColumns));
+    for (int& d : out_degree) d = static_cast<int>(rng.UniformInt(kColumns));
+    std::sort(out_degree.begin(), out_degree.end());
+    Matrix w(out, in), wt;
+    FillRandom(w, rng);
+    TransposeInto(w, wt);
+    const std::vector<float> bias = RandomBias(out, rng);
+    for (const int batch : {1, 7, 130}) {
+      Matrix x(batch, in);
+      FillRandom(x, rng);
+      for (int m = 0; m < kColumns; ++m) {
+        std::vector<int> kept;
+        for (int i = 0; i < in; ++i) {
+          if (in_degree[i] <= m) kept.push_back(i);
+        }
+        const int prefix = static_cast<int>(
+            std::upper_bound(out_degree.begin(), out_degree.end(), m) -
+            out_degree.begin());
+        const std::span<const float> prefix_bias =
+            std::span<const float>(bias).first(prefix);
+        Matrix want, got;
+        base.linear_forward_t(x, kept, wt.data(), out, prefix, prefix_bias,
+                              want, /*fuse_relu=*/true);
+        for (const KernelArm* arm : arms) {
+          arm->linear_forward_t(x, kept, wt.data(), out, prefix, prefix_bias,
+                                got, /*fuse_relu=*/true);
+          ExpectSameBits(got, want,
+                         std::string(arm->isa) + " " + shape + " batch " +
+                             std::to_string(batch) + " column " +
+                             std::to_string(m));
+        }
+      }
+    }
+
+    // The training step: fused forward and backward at batch 64, with the
+    // half-zero gradients a ReLU leaves.
+    Matrix x(64, in), dy(64, out);
+    FillRandom(x, rng);
+    FillRandom(dy, rng);
+    for (int r = 0; r < dy.rows(); ++r) {
+      for (int c = 0; c < out; ++c) {
+        if (rng.Uniform() < 0.5) dy.at(r, c) = 0.0f;
+      }
+    }
+    Matrix y_want, dx_want, dw_want(out, in), scratch;
+    std::vector<float> dbias_want(out, 0.0f);
+    base.linear_relu_forward(x, w, bias, y_want, scratch);
+    base.linear_backward(x, w, dy, dx_want, dw_want, dbias_want);
+    for (const KernelArm* arm : arms) {
+      Matrix y, dx, dw(out, in);
+      std::vector<float> dbias(out, 0.0f);
+      arm->linear_relu_forward(x, w, bias, y, scratch);
+      arm->linear_backward(x, w, dy, dx, dw, dbias);
+      const std::string where = std::string(arm->isa) + " " + shape;
+      ExpectSameBits(y, y_want, where + " forward");
+      ExpectSameBits(dx, dx_want, where + " dx");
+      ExpectSameBits(dw, dw_want, where + " dw");
+      EXPECT_EQ(std::memcmp(dbias.data(), dbias_want.data(),
+                            dbias.size() * sizeof(float)),
+                0)
+          << where << " dbias";
+    }
+  }
+
+  // The logits of column 2 of a 7-column model with 30 values each: a
+  // 30-wide window at offset 60 of the 210 output columns.
+  const int in = 256, width = kColumns * 30, offset = 60, window = 30;
+  Matrix w(width, in), wt;
+  FillRandom(w, rng);
+  TransposeInto(w, wt);
+  const std::vector<float> bias = RandomBias(width, rng);
+  const std::span<const float> window_bias =
+      std::span<const float>(bias).subspan(offset, window);
+  for (const int batch : {1, 7, 130}) {
+    Matrix x(batch, in), want, got;
+    FillRandom(x, rng);
+    base.linear_forward_t(x, AllInputs(in), wt.data() + offset, width, window,
+                          window_bias, want, /*fuse_relu=*/false);
+    for (const KernelArm* arm : arms) {
+      arm->linear_forward_t(x, AllInputs(in), wt.data() + offset, width,
+                            window, window_bias, got, /*fuse_relu=*/false);
+      ExpectSameBits(got, want,
+                     std::string(arm->isa) + " logit window batch " +
+                         std::to_string(batch));
+    }
+  }
+}
+
+// The public kernels run the widest arm the CPU supports, and the choice is
+// exported as the gauge iam_nn_kernel_isa{isa="<arm>"} = 1.
+TEST(KernelsTest, ChosenArmIsTheWidestSupportedAndIsReported) {
+  const KernelArm& chosen = internal::ChosenArm();
+  for (const char* isa : {"avx512", "avx2", "sse"}) {
+    if (std::string(isa) == chosen.isa) break;
+    EXPECT_EQ(internal::FindArm(isa), nullptr)
+        << isa << " runs on this CPU but " << chosen.isa << " was chosen";
+  }
+  EXPECT_EQ(internal::FindArm(chosen.isa), &chosen);
+  EXPECT_EQ(obs::MetricRegistry::Global()
+                .GetGauge("iam_nn_kernel_isa", "isa", chosen.isa)
+                .Value(),
+            1.0);
+}
+
+// Every arm this build has, each run only where the CPU supports it.
+class KernelArmTest : public ::testing::TestWithParam<const char*> {
+ protected:
+  void SetUp() override {
+    arm_ = internal::FindArm(GetParam());
+    if (arm_ == nullptr) {
+      GTEST_SKIP() << "this CPU (or build) has no " << GetParam() << " arm";
+    }
+  }
+  const KernelArm& arm() const { return *arm_; }
+
+ private:
+  const KernelArm* arm_ = nullptr;
+};
+
+TEST_P(KernelArmTest, LinearForwardMatchesReferenceAcrossShapes) {
+  CheckLinearForwardMatchesReferenceAcrossShapes(arm());
+}
+TEST_P(KernelArmTest, FusedReluMatchesReferenceThenRelu) {
+  CheckFusedReluMatchesReferenceThenRelu(arm());
+}
+TEST_P(KernelArmTest, TransposedKernelsMatchReference) {
+  CheckTransposedKernelsMatchReference(arm());
+}
+TEST_P(KernelArmTest, ForwardTSliceMatchesColumnWindowOfFullProduct) {
+  CheckForwardTSliceMatchesColumnWindowOfFullProduct(arm());
+}
+TEST_P(KernelArmTest, KeptListKernelMatchesReferenceOnGatheredInputs) {
+  CheckKeptListKernelMatchesReferenceOnGatheredInputs(arm());
+}
+TEST_P(KernelArmTest, SparseForwardMatchesDenseOnSparseInput) {
+  CheckSparseForwardMatchesDenseOnSparseInput(arm());
+}
+TEST_P(KernelArmTest, SparseForwardHandlesAllEmptyRows) {
+  CheckSparseForwardHandlesAllEmptyRows(arm());
+}
+TEST_P(KernelArmTest, LinearBackwardMatchesReferenceWithZeroRows) {
+  CheckLinearBackwardMatchesReferenceWithZeroRows(arm());
+}
+
+INSTANTIATE_TEST_SUITE_P(Isa, KernelArmTest,
+                         ::testing::Values("sse", "avx2", "avx512"),
+                         [](const ::testing::TestParamInfo<const char*>& info) {
+                           return std::string(info.param);
+                         });
 
 }  // namespace
 }  // namespace iam::nn

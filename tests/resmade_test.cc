@@ -470,15 +470,9 @@ void PrintTo(const OracleCase& layout, std::ostream* os) { *os << layout.label; 
 
 class ResMadeOracleTest : public ::testing::TestWithParam<OracleCase> {};
 
-// Expected float equality: bitwise in the portable build; the IAM_NATIVE
-// build may contract the reference and the tiled kernels' mul+add chains
-// into FMAs differently (DESIGN.md §10), so there a relative tolerance.
+// Expected float equality: bitwise, on every kernel arm (DESIGN.md §10).
 void ExpectSameProb(float got, float want, const std::string& where) {
-#ifdef IAM_NATIVE
-  EXPECT_NEAR(got, want, 1e-4f * (1.0f + std::fabs(want))) << where;
-#else
   EXPECT_EQ(got, want) << where;
-#endif
 }
 
 void ExpectMatchesReference(const ResMade& made,
