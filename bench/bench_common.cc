@@ -86,7 +86,6 @@ core::ArEstimatorOptions BenchIamOptions() {
   opts.batch_size = 512;
   opts.max_train_rows = 20000;  // paper samples 1e6 of up to 1.9e7 rows
   opts.progressive_samples = 256;  // paper: 8000 on a V100
-  opts.gmm_samples_per_component = 10000;
   opts.num_threads = BenchThreads();
   return opts;
 }

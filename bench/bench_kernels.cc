@@ -5,12 +5,14 @@
 #include <cstdio>
 #include <fstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <benchmark/benchmark.h>
 
 #include "ar/resmade.h"
 #include "bench/bench_common.h"
+#include "bucketize/mixture_reducer.h"
 #include "gmm/gmm1d.h"
 #include "nn/kernels.h"
 #include "nn/matrix.h"
@@ -187,19 +189,19 @@ void BM_GmmAssign(benchmark::State& state) {
 }
 BENCHMARK(BM_GmmAssign);
 
-void BM_RangeMassMonteCarlo(benchmark::State& state) {
+void BM_RangeMassExact(benchmark::State& state) {
   gmm::Gmm1D gmm(30);
   Rng rng(5);
   std::vector<double> data(10000);
   for (double& x : data) x = rng.Gaussian(0.0, 5.0);
   gmm.InitFromData(data, rng);
-  gmm::ComponentSampleIndex index(gmm, 10000, rng);
+  const bucketize::GmmReducer reducer(std::move(gmm));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(index.RangeMass(-2.0, 3.0));
+    benchmark::DoNotOptimize(reducer.RangeMass(-2.0, 3.0));
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_RangeMassMonteCarlo);
+BENCHMARK(BM_RangeMassExact);
 
 void BM_GmmSgdStep(benchmark::State& state) {
   gmm::Gmm1D gmm(30);

@@ -39,12 +39,13 @@ namespace {
 void FuzzRawEnvelope(std::istream& in) {
   uint32_t version = 0;
   const iam::Result<std::string> payload =
-      iam::ReadEnvelope(in, "IAMMODEL", 2, &version);
+      iam::ReadEnvelope(in, "IAMMODEL", iam::core::kModelFormatVersion,
+                        &version);
   if (!payload.ok()) return;
   std::stringstream again(std::ios::in | std::ios::out | std::ios::binary);
   iam::WriteEnvelope(again, "IAMMODEL", version, *payload);
   const iam::Result<std::string> reread =
-      iam::ReadEnvelope(again, "IAMMODEL", 2);
+      iam::ReadEnvelope(again, "IAMMODEL", iam::core::kModelFormatVersion);
   if (!reread.ok() || *reread != *payload) {
     Fail("validated envelope did not round-trip");
   }

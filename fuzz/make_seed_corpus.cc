@@ -89,7 +89,8 @@ void MakeEnvelopeSeeds(const std::filesystem::path& dir,
                        const std::filesystem::path& scratch) {
   // Mode 0: raw envelope validation.
   std::ostringstream raw(std::ios::binary);
-  iam::WriteEnvelope(raw, "IAMMODEL", 2, "seed payload bytes");
+  iam::WriteEnvelope(raw, "IAMMODEL", iam::core::kModelFormatVersion,
+                     "seed payload bytes");
   WriteSeed(dir, "01_envelope_valid.bin", EnvelopeSeed(0, raw.str()));
 
   // A header that declares an 8 GiB payload the stream does not hold — the
@@ -98,7 +99,7 @@ void MakeEnvelopeSeeds(const std::filesystem::path& dir,
   // size up front.
   std::ostringstream huge(std::ios::binary);
   huge.write("IAMMODEL", 8);
-  iam::WritePod<uint32_t>(huge, 2);
+  iam::WritePod<uint32_t>(huge, iam::core::kModelFormatVersion);
   iam::WritePod<uint64_t>(huge, 8ULL << 30);
   iam::WritePod<uint64_t>(huge, 0);
   WriteSeed(dir, "02_envelope_huge_decl.bin", EnvelopeSeed(0, huge.str()));
@@ -134,14 +135,12 @@ void MakeEnvelopeSeeds(const std::filesystem::path& dir,
   WriteSeed(dir, "06_resmade_truncated.bin",
             EnvelopeSeed(2, resmade_bytes.substr(0, resmade_bytes.size() / 3)));
 
-  // Mode 3: one reducer blob per mixture family (Monte-Carlo GMM, Laplace).
+  // Mode 3: one reducer blob per mixture family (GMM, Laplace).
   iam::gmm::Gmm1D gmm(2);
   gmm.SetComponent(0, 0.0, -1.0, 0.5);
   gmm.SetComponent(1, 0.5, 2.0, 1.5);
   std::ostringstream gmm_out(std::ios::binary);
-  iam::bucketize::GmmReducer(gmm, /*samples_per_component=*/64,
-                             /*exact=*/false, /*seed=*/1)
-      .Serialize(gmm_out);
+  iam::bucketize::GmmReducer(gmm).Serialize(gmm_out);
   WriteSeed(dir, "07_reducer_gmm.bin", EnvelopeSeed(3, gmm_out.str()));
   iam::gmm::LaplaceMixture1D laplace(2);
   laplace.SetComponent(0, 0.0, -1.0, 0.5);

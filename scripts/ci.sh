@@ -6,6 +6,11 @@
 #                  plugin checks) + the always-on repo-specific grep bans.
 #   2. default     portable build, full ctest. Its kernel tests run every
 #                  kernel arm (SSE, AVX2, AVX-512) the host CPU supports.
+#   2a. corpus     the default build's iam_make_seed_corpus regenerates the
+#                  fuzz seed corpora into a temp dir; every file it writes
+#                  must equal its committed copy under fuzz/corpus/, so a
+#                  format change cannot leave stale seeds behind (minimized
+#                  crash inputs are not generated, so they are not compared).
 #   3. fma guard   the default build's kernels.cc.o must hold no fused
 #                  multiply-add: the AVX-512 arm's target implies FMA, and
 #                  only -ffp-contract=off keeps the compiler from fusing
@@ -92,6 +97,30 @@ scripts/lint.sh --all "${prefix}-default"
 
 # --- Stage 2: portable build, full suite. ----------------------------------
 run_config "${prefix}-default" --
+
+# --- Stage 2a: fuzz seed corpus freshness. ---------------------------------
+# The seed generator is deterministic; a seed that differs from its
+# regenerated copy was written by an older format and no longer exercises
+# the current readers.
+echo "=== corpus freshness: iam_make_seed_corpus vs fuzz/corpus ==="
+corpus_dir="$(mktemp -d)"
+"${prefix}-default/fuzz/iam_make_seed_corpus" "${corpus_dir}" >/dev/null
+stale_seeds=0
+while IFS= read -r seed; do
+  rel="${seed#"${corpus_dir}"/}"
+  if ! cmp -s "${seed}" "fuzz/corpus/${rel}"; then
+    echo "ci: stale or missing seed fuzz/corpus/${rel}" >&2
+    stale_seeds=$((stale_seeds + 1))
+  fi
+done < <(find "${corpus_dir}" -type f | sort)
+rm -rf "${corpus_dir}"
+if [[ "${stale_seeds}" -ne 0 ]]; then
+  echo "ci: FATAL: ${stale_seeds} fuzz seeds differ from iam_make_seed_corpus" \
+       "output; regenerate them with" \
+       "${prefix}-default/fuzz/iam_make_seed_corpus fuzz/corpus" >&2
+  exit 1
+fi
+echo "corpus freshness OK"
 
 # --- Stage 3: no FMA contraction in the kernel arms. -----------------------
 # A later flag change that lets the compiler contract a * b + c into an FMA

@@ -171,6 +171,17 @@ class UmmReducer : public DomainReducer {
   std::vector<double> weights_;
 };
 
+// Both mixture families share one blob after their tag:
+// Mixture1D::Serialize's weight logits, locations and log scales.
+template <class Family>
+Result<std::unique_ptr<DomainReducer>> DeserializeMixture(std::istream& in) {
+  Result<gmm::Mixture1D<Family>> mixture =
+      gmm::Mixture1D<Family>::Deserialize(in);
+  if (!mixture.ok()) return mixture.status();
+  return std::unique_ptr<DomainReducer>(
+      std::make_unique<MixtureReducer<Family>>(std::move(mixture.value())));
+}
+
 }  // namespace
 
 std::unique_ptr<DomainReducer> MakeEquiDepthReducer(
@@ -364,44 +375,11 @@ Result<std::unique_ptr<DomainReducer>> DomainReducer::Deserialize(
     return std::unique_ptr<DomainReducer>(std::make_unique<UmmReducer>(
         std::move(lo), std::move(hi), std::move(weights)));
   }
-  if (tag == gmm::Laplace::kName) {
-    std::vector<double> logits, locations, scales;
-    IAM_RETURN_IF_ERROR(ReadVector(in, &logits));
-    IAM_RETURN_IF_ERROR(ReadVector(in, &locations));
-    IAM_RETURN_IF_ERROR(ReadVector(in, &scales));
-    if (logits.empty() || logits.size() != locations.size() ||
-        locations.size() != scales.size()) {
-      return Status::IoError("inconsistent laplace reducer blob");
-    }
-    gmm::LaplaceMixture1D mixture(static_cast<int>(logits.size()));
-    for (size_t j = 0; j < logits.size(); ++j) {
-      if (!std::isfinite(locations[j]) || !std::isfinite(scales[j]) ||
-          !(scales[j] > 0.0)) {
-        return Status::IoError("bad laplace component");
-      }
-      mixture.SetComponent(static_cast<int>(j), logits[j], locations[j],
-                           scales[j]);
-    }
-    return std::unique_ptr<DomainReducer>(
-        std::make_unique<LaplaceReducer>(std::move(mixture)));
-  }
   if (tag == gmm::Gaussian::kName) {
-    int32_t samples = 0;
-    uint8_t exact = 0;
-    IAM_RETURN_IF_ERROR(ReadPod(in, &samples));
-    IAM_RETURN_IF_ERROR(ReadPod(in, &exact));
-    Result<gmm::Gmm1D> gmm = gmm::Gmm1D::Deserialize(in);
-    if (!gmm.ok()) return gmm.status();
-    // The Monte-Carlo index is allocated from the blob's sample count, so
-    // bound it before building: K * S doubles, at most kMaxRangeSamples.
-    const int64_t components = gmm.value().num_components();
-    if (exact == 0 &&
-        (samples <= 0 || samples * components > kMaxRangeSamples)) {
-      return Status::IoError("implausible gmm samples per component");
-    }
-    return std::unique_ptr<DomainReducer>(std::make_unique<GmmReducer>(
-        std::move(gmm.value()), samples, exact != 0,
-        /*seed=*/0xC0FFEEull));
+    return DeserializeMixture<gmm::Gaussian>(in);
+  }
+  if (tag == gmm::Laplace::kName) {
+    return DeserializeMixture<gmm::Laplace>(in);
   }
   return Status::IoError("unknown reducer tag '" + tag + "'");
 }

@@ -50,15 +50,14 @@ class DomainReducer {
   // --- Joint-training hooks (Section 4.3). ----------------------------------
   // Trainable reducers (the mixture models) take SGD steps inside the AR
   // model's mini-batch loop; static reducers (histograms, splines) are built
-  // once and ignore these.
+  // once and ignore these. RangeMass reads a reducer's current parameters,
+  // so a step needs no follow-up before the next query.
   virtual bool trainable() const { return false; }
   // One SGD step on a batch of raw attribute values; returns the mean NLL.
   virtual double TrainStep(std::span<const double> batch) {
     (void)batch;
     return 0.0;
   }
-  // Called after each epoch (e.g. to refresh Monte-Carlo range masses).
-  virtual void PostEpoch(uint64_t seed) { (void)seed; }
 };
 
 // Equi-depth histogram: bucket boundaries at sample quantiles, uniform

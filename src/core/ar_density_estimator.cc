@@ -215,10 +215,10 @@ void ArDensityEstimator::BuildColumns(const data::Table& table) {
     }
   }
 
-  // Reducer fitting dominates build time (VBGM / mixture init plus the
-  // Monte-Carlo sample draws); columns are independent, so fit them in
-  // parallel, each with a deterministic per-column seed so the result does
-  // not depend on the thread count or the fitting order.
+  // Reducer fitting dominates build time (VBGM / mixture init); columns are
+  // independent, so fit them in parallel, each with a deterministic
+  // per-column seed so the result does not depend on the thread count or
+  // the fitting order.
   pool().ParallelFor(columns_.size(), [&](size_t ci, int) {
     const int c = static_cast<int>(ci);
     TableColumn& col = columns_[c];
@@ -237,9 +237,7 @@ void ArDensityEstimator::BuildColumns(const data::Table& table) {
           gmm.InitFromData(values, reducer_rng);
           gmm.set_learning_rate(options_.gmm_learning_rate);
         }
-        col.reducer = std::make_unique<bucketize::GmmReducer>(
-            std::move(gmm), options_.gmm_samples_per_component,
-            options_.exact_range_mass, options_.seed ^ (0x9000 + c));
+        col.reducer = std::make_unique<bucketize::GmmReducer>(std::move(gmm));
         break;
       }
       case ReducerKind::kEquiDepth:
@@ -319,14 +317,6 @@ void ArDensityEstimator::EncodeStaticColumns() {
   }
 }
 
-void ArDensityEstimator::RefreshReducerSamples() {
-  for (size_t c = 0; c < columns_.size(); ++c) {
-    if (columns_[c].kind != TableColumn::Kind::kReduced) continue;
-    columns_[c].reducer->PostEpoch(options_.seed ^ (0x7777 + c) ^
-                                   static_cast<uint64_t>(adam_.step_count()));
-  }
-}
-
 double ArDensityEstimator::TrainEpoch() {
   obs::TraceSpan span("core.train_epoch");
   Stopwatch epoch_watch;
@@ -373,7 +363,6 @@ double ArDensityEstimator::TrainEpoch() {
     ++batches;
   }
 
-  RefreshReducerSamples();
   last_epoch_loss_ = batches > 0 ? loss_sum / static_cast<double>(batches)
                                  : 0.0;
   CoreMetrics& metrics = CoreMetrics::Get();
@@ -987,9 +976,9 @@ namespace {
 // path loads: column metadata, dictionaries, reducers, AR weights). Version 2
 // replaced the bare magic-string header of the original format with the
 // checksummed util::WriteEnvelope container; old files fail the magic check
-// cleanly.
+// cleanly. Version 3 dropped the Monte-Carlo sample count and exact flag
+// from the "gmm" reducer blob and gave the "laplace" blob the same layout.
 constexpr std::string_view kModelMagic = "IAMMODEL";
-constexpr uint32_t kModelFormatVersion = 2;
 }  // namespace
 
 Status ArDensityEstimator::Save(const std::string& path) const {
@@ -1044,9 +1033,17 @@ Result<std::unique_ptr<ArDensityEstimator>> ArDensityEstimator::Load(
 
 Result<std::unique_ptr<ArDensityEstimator>> ArDensityEstimator::LoadFromStream(
     std::istream& stream) {
+  uint32_t version = 0;
   Result<std::string> payload =
-      ReadEnvelope(stream, kModelMagic, kModelFormatVersion);
+      ReadEnvelope(stream, kModelMagic, kModelFormatVersion, &version);
   if (!payload.ok()) return payload.status();
+  // Older payloads lay their reducer blobs out differently; parsing one as
+  // the current layout would misread it.
+  if (version != kModelFormatVersion) {
+    return Status::IoError("unsupported model format version " +
+                           std::to_string(version) + " (this build reads " +
+                           std::to_string(kModelFormatVersion) + ")");
+  }
   std::istringstream in(std::move(payload.value()));
 
   // The Load() constructor is private; make_unique cannot reach it.

@@ -25,6 +25,10 @@
 
 namespace iam::core {
 
+// The model file version Save() writes, and the only one LoadFromStream
+// reads (DESIGN.md §13).
+inline constexpr uint32_t kModelFormatVersion = 3;
+
 // How a continuous large-domain attribute is fed to the AR model.
 enum class ReducerKind {
   kGmm,        // the paper's choice (Section 4.2)
@@ -54,12 +58,7 @@ struct ArEstimatorOptions {
 
   ReducerKind reducer_kind = ReducerKind::kGmm;
   int reducer_components = 30;  // paper default; <= 0 -> VBGM auto-selection
-  // Monte-Carlo range-mass samples per GMM component; components x samples
-  // must stay within bucketize::kMaxRangeSamples (2^22) unless
-  // exact_range_mass is set.
-  int gmm_samples_per_component = 10000;
-  bool exact_range_mass = false;  // use erf instead of Monte-Carlo masses
-  int gmm_sgd_passes = 1;         // GMM SGD steps per AR batch
+  int gmm_sgd_passes = 1;  // GMM SGD steps per AR batch
   double gmm_learning_rate = 5e-3;
 
   // Column factorization (NeuroCard): sub-column domain 2^factor_bits.
@@ -123,8 +122,7 @@ class ArDensityEstimator : public estimator::Estimator {
   void Train();
 
   // One epoch of joint GMM+AR SGD; returns the epoch's mean AR
-  // cross-entropy. Refreshes the Monte-Carlo range-mass samples afterwards so
-  // the model is queryable between epochs (Figure 6).
+  // cross-entropy. The model is queryable between epochs (Figure 6).
   double TrainEpoch();
 
   std::string name() const override;
@@ -336,7 +334,6 @@ class ArDensityEstimator : public estimator::Estimator {
   void BuildColumns(const data::Table& table);
   void BuildTrainingSample(const data::Table& table);
   void EncodeStaticColumns();
-  void RefreshReducerSamples();
 
   // force_active_col >= 0 marks that table column active (full range when
   // unqueried) so its coordinate is always sampled (aggregation targets).

@@ -7,7 +7,7 @@ namespace iam::core {
 
 // Paper-faithful IAM configuration (Section 6.1.2), scaled for a single-CPU
 // environment: ResMADE 256-128-128-256, one GMM with `components` mixtures
-// per large-domain continuous attribute, Monte-Carlo range masses.
+// per large-domain continuous attribute, range masses from the normal CDF.
 inline ArEstimatorOptions IamDefaults(int components = 30) {
   ArEstimatorOptions opts;
   opts.use_domain_reduction = true;

@@ -417,10 +417,13 @@ Result<Mixture1D<Family>> Mixture1D<Family>::Deserialize(std::istream& in) {
   mixture.weight_logits_ = std::move(logits);
   mixture.locations_ = std::move(locations);
   mixture.log_scales_ = std::move(log_scales);
-  // Finite locations and scales keep every component draw a number (never
-  // NaN), which the sorted Monte-Carlo index relies on.
+  // Finite parameters keep weights() and every range mass a number: a NaN
+  // or infinite logit makes the softmax NaN, and a non-finite location or
+  // scale makes the CDF differences NaN, which would reach the estimates.
   for (int k = 0; k < mixture.num_components(); ++k) {
-    if (!std::isfinite(mixture.location(k)) ||
+    if (!std::isfinite(mixture.weight_logits_[k]) ||
+        !std::isfinite(mixture.location(k)) ||
+        !std::isfinite(mixture.log_scales_[k]) ||
         !std::isfinite(mixture.scale(k))) {
       return Status::IoError("non-finite mixture parameter");
     }
@@ -443,39 +446,5 @@ template class Mixture1D<Laplace>;
 template std::vector<double> ExactRangeMass(const Gmm1D&, double, double);
 template std::vector<double> ExactRangeMass(const LaplaceMixture1D&, double,
                                             double);
-
-// --- ComponentSampleIndex. --------------------------------------------------
-
-ComponentSampleIndex::ComponentSampleIndex(const Gmm1D& gmm,
-                                           int samples_per_component,
-                                           Rng& rng)
-    : samples_per_component_(samples_per_component) {
-  IAM_CHECK(samples_per_component >= 1);
-  samples_.resize(gmm.num_components());
-  for (int k = 0; k < gmm.num_components(); ++k) {
-    samples_[k].resize(samples_per_component);
-    for (int s = 0; s < samples_per_component; ++s) {
-      samples_[k][s] = gmm.SampleComponent(k, rng);
-    }
-    std::sort(samples_[k].begin(), samples_[k].end());
-  }
-}
-
-double ComponentSampleIndex::Mass(int k, double lo, double hi) const {
-  IAM_CHECK(k >= 0 && k < num_components());
-  if (lo > hi) return 0.0;
-  const auto& s = samples_[k];
-  const auto first = std::lower_bound(s.begin(), s.end(), lo);
-  const auto last = std::upper_bound(s.begin(), s.end(), hi);
-  return static_cast<double>(last - first) /
-         static_cast<double>(samples_per_component_);
-}
-
-std::vector<double> ComponentSampleIndex::RangeMass(double lo,
-                                                    double hi) const {
-  std::vector<double> mass(num_components());
-  for (int k = 0; k < num_components(); ++k) mass[k] = Mass(k, lo, hi);
-  return mass;
-}
 
 }  // namespace iam::gmm

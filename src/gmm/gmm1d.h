@@ -134,36 +134,9 @@ using LaplaceMixture1D = Mixture1D<Laplace>;
 extern template class Mixture1D<Gaussian>;
 extern template class Mixture1D<Laplace>;
 
-// Precomputed per-component Monte-Carlo samples used to estimate
-// \hat P_GMM^k(R) = S_k / S (Section 5.2). The paper draws S samples from
-// each Gaussian once, as query-independent preprocessing; we keep them sorted
-// so each range mass is two binary searches.
-class ComponentSampleIndex {
- public:
-  ComponentSampleIndex(const Gmm1D& gmm, int samples_per_component, Rng& rng);
-
-  int num_components() const { return static_cast<int>(samples_.size()); }
-  int samples_per_component() const { return samples_per_component_; }
-
-  // Fraction of component k's samples falling in [lo, hi].
-  double Mass(int k, double lo, double hi) const;
-
-  // Vector \hat P_GMM(R) over all components.
-  std::vector<double> RangeMass(double lo, double hi) const;
-
-  size_t SizeBytes() const {
-    return static_cast<size_t>(num_components()) * samples_per_component_ *
-           sizeof(double);
-  }
-
- private:
-  std::vector<std::vector<double>> samples_;  // sorted per component
-  int samples_per_component_;
-};
-
-// Per-component exact (CDF) mass of [lo, hi]: the Laplace reducer's range
-// mass, and the Gaussian's verification/ablation counterpart of
-// ComponentSampleIndex::RangeMass.
+// Per-component mass of [lo, hi] as a CDF difference: \hat P_GMM(R) of
+// Section 5.2. The paper estimates it as S_k / S from S samples drawn per
+// component; the CDF difference is that estimate's S -> infinity limit.
 template <class Family>
 std::vector<double> ExactRangeMass(const Mixture1D<Family>& mixture, double lo,
                                    double hi);

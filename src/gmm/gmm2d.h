@@ -40,8 +40,8 @@ class Gmm2D {
   int Assign(double x, double y) const;
 
   // Monte-Carlo mass of the axis-aligned rectangle [xlo,xhi]x[ylo,yhi] under
-  // component k (full covariance admits no closed form; the paper's own
-  // range masses are Monte-Carlo too).
+  // component k (full covariance admits no closed form, unlike the 1-D
+  // mixtures' CDF differences).
   double RectangleMass(int k, double xlo, double xhi, double ylo, double yhi,
                        int samples, Rng& rng) const;
 

@@ -17,7 +17,6 @@ std::unique_ptr<core::ArDensityEstimator> TrainDemoEstimator(size_t rows,
   opts.made.hidden_sizes = {32, 32};
   opts.epochs = 1;
   opts.large_domain_threshold = 200;
-  opts.gmm_samples_per_component = 500;
   opts.progressive_samples = 64;
   auto model = std::make_unique<core::ArDensityEstimator>(twi, opts);
   model->Train();

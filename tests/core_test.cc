@@ -27,7 +27,6 @@ ArEstimatorOptions FastIam() {
   opts.epochs = 6;
   opts.batch_size = 256;
   opts.progressive_samples = 128;
-  opts.gmm_samples_per_component = 2000;
   opts.large_domain_threshold = 200;
   return opts;
 }
@@ -150,7 +149,6 @@ TEST(NeurocardTest, AccuracyOnSpatialWorkload) {
 TEST(IamModelTest, ProgressiveSamplingMatchesExhaustiveEnumeration) {
   ArEstimatorOptions opts = FastIam();
   opts.progressive_samples = 4096;  // tight Monte-Carlo error
-  opts.exact_range_mass = true;     // remove the MC mass noise
   ArDensityEstimator iam(Twi(), opts);
   iam.Train();
 
@@ -388,7 +386,6 @@ TEST(AggregateTest, ImpossibleQueryYieldsZeros) {
 
 TEST(PersistenceTest, SaveLoadRoundTrip) {
   ArEstimatorOptions opts = FastIam();
-  opts.exact_range_mass = true;  // removes Monte-Carlo mass noise
   ArDensityEstimator iam(Twi(), opts);
   iam.Train();
 
@@ -511,7 +508,6 @@ TEST(IamModelTest, NamesFollowPresets) {
 TEST(IamModelTest, BiasedSamplerAblation) {
   ArEstimatorOptions unbiased_opts = FastIam();
   unbiased_opts.progressive_samples = 2048;
-  unbiased_opts.exact_range_mass = true;
   ArEstimatorOptions biased_opts = unbiased_opts;
   biased_opts.biased_sampling = true;
 

@@ -456,7 +456,6 @@ core::ArEstimatorOptions ObsModelOptions() {
   opts.epochs = 1;
   opts.batch_size = 128;
   opts.progressive_samples = 64;
-  opts.gmm_samples_per_component = 1000;
   opts.large_domain_threshold = 200;
   opts.num_threads = 1;
   return opts;

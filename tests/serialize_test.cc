@@ -128,7 +128,6 @@ const std::string& SavedModelBlob() {
     opts.made.hidden_sizes = {32, 32};
     opts.epochs = 1;
     opts.large_domain_threshold = 200;
-    opts.gmm_samples_per_component = 500;
     core::ArDensityEstimator model(twi, opts);
     model.Train();
     std::ostringstream out;
@@ -233,6 +232,36 @@ TEST(ModelCorruptionTest, LegacyUnversionedFormatRejected) {
   std::remove(path.c_str());
 }
 
+// A file of an older format version fails to load with a Status naming the
+// version. The v2 payload built here is the current one with each "gmm"
+// reducer blob given back the int32 sample count and uint8 exact flag that
+// v2 stored after its tag; read as the current layout it would be misparsed.
+TEST(ModelCorruptionTest, OlderFormatVersionRejected) {
+  std::istringstream current(SavedModelBlob(), std::ios::binary);
+  const Result<std::string> payload =
+      ReadEnvelope(current, "IAMMODEL", core::kModelFormatVersion);
+  ASSERT_TRUE(payload.ok()) << payload.status().ToString();
+  std::ostringstream tag, v2_fields;
+  WriteString(tag, "gmm");
+  WritePod<int32_t>(v2_fields, 500);  // Monte-Carlo samples per component
+  WritePod<uint8_t>(v2_fields, 0);    // exact flag
+  std::string v2 = *payload;
+  int gmm_blobs = 0;
+  for (size_t at = v2.find(tag.str()); at != std::string::npos;
+       at = v2.find(tag.str(), at + 1)) {
+    v2.insert(at + tag.str().size(), v2_fields.str());
+    ++gmm_blobs;
+  }
+  ASSERT_GT(gmm_blobs, 0);
+
+  std::stringstream file(std::ios::in | std::ios::out | std::ios::binary);
+  WriteEnvelope(file, "IAMMODEL", 2, v2);
+  const auto loaded = core::ArDensityEstimator::LoadFromStream(file);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_NE(loaded.status().ToString().find("version 2"), std::string::npos)
+      << loaded.status().ToString();
+}
+
 // Regressions promoted from the fuzz/ harnesses (DESIGN.md §16): readers
 // that honour stream-declared lengths must fail truncated or adversarial
 // inputs with a clean Status, allocating only for bytes that actually
@@ -315,48 +344,33 @@ TEST(ModelRoundTripTest, ResaveIsByteIdentical) {
   EXPECT_EQ(resaved.str(), SavedModelBlob());
 }
 
-// A "gmm" reducer blob's sample count sizes the Monte-Carlo index it builds,
-// so a zero, negative or huge count must fail the load with a clean Status
-// rather than abort (or allocate components x count doubles).
-TEST(AdversarialInputRegressionTest, GmmReducerSampleCountOutOfRangeFails) {
-  for (const int32_t samples : {0, -5, INT32_MAX}) {
-    std::stringstream blob;
-    WriteString(blob, "gmm");
-    WritePod<int32_t>(blob, samples);
-    WritePod<uint8_t>(blob, 0);  // Monte-Carlo, not exact
-    WriteVector(blob, std::vector<double>{0.0, 0.0});  // weight logits
-    WriteVector(blob, std::vector<double>{-1.0, 1.0});  // means
-    WriteVector(blob, std::vector<double>{0.0, 0.0});  // log sigmas
-    const auto reducer = bucketize::DomainReducer::Deserialize(blob);
-    EXPECT_FALSE(reducer.ok()) << "samples " << samples;
-  }
-}
-
-// The other reducer blob fields that used to reach a constructor check or
-// the Monte-Carlo sort unvalidated: a non-finite GMM mean (its draws would
-// mix inf and NaN), a NaN or infinite Laplace scale, an infinite Laplace
-// location and unsorted interval edges fail the load cleanly too.
+// Mixture reducer blob fields that would turn weights or range masses NaN
+// (NaN masses reach the estimates) fail the load cleanly in either family: a
+// non-finite weight logit, location or log scale, or a log scale whose scale
+// overflows. So do unsorted interval edges, which used to reach a
+// constructor check.
 TEST(AdversarialInputRegressionTest, ReducerBlobFieldsFailCleanly) {
-  std::stringstream gmm;
-  WriteString(gmm, "gmm");
-  WritePod<int32_t>(gmm, 100);
-  WritePod<uint8_t>(gmm, 0);
-  WriteVector(gmm, std::vector<double>{0.0});  // weight logits
-  WriteVector(gmm, std::vector<double>{INFINITY});  // means
-  WriteVector(gmm, std::vector<double>{800.0});  // log sigmas
-  EXPECT_FALSE(bucketize::DomainReducer::Deserialize(gmm).ok());
-
   const double nan = std::nan("");
   const double inf = INFINITY;
-  for (const auto& [location, scale] :
-       {std::pair{1.0, nan}, std::pair{inf, 1.0}, std::pair{1.0, inf}}) {
-    std::stringstream laplace;
-    WriteString(laplace, "laplace");
-    WriteVector(laplace, std::vector<double>{0.0});  // log weights
-    WriteVector(laplace, std::vector<double>{location});  // locations
-    WriteVector(laplace, std::vector<double>{scale});  // scales
-    EXPECT_FALSE(bucketize::DomainReducer::Deserialize(laplace).ok())
-        << "location " << location << " scale " << scale;
+  struct Fields {
+    double logit, location, log_scale;
+  };
+  for (const char* tag : {"gmm", "laplace"}) {
+    for (const Fields& f :
+         {Fields{0.0, 1.0, 0.0}, Fields{inf, 1.0, 0.0}, Fields{nan, 1.0, 0.0},
+          Fields{0.0, inf, 0.0}, Fields{0.0, nan, 0.0}, Fields{0.0, 1.0, nan},
+          Fields{0.0, 1.0, 800.0}}) {
+      std::stringstream blob;
+      WriteString(blob, tag);
+      WriteVector(blob, std::vector<double>{0.0, f.logit});  // weight logits
+      WriteVector(blob, std::vector<double>{-1.0, f.location});  // locations
+      WriteVector(blob, std::vector<double>{0.0, f.log_scale});  // log scales
+      const bool finite = std::isfinite(f.logit) &&
+                          std::isfinite(f.location) && f.log_scale == 0.0;
+      EXPECT_EQ(bucketize::DomainReducer::Deserialize(blob).ok(), finite)
+          << tag << " logit " << f.logit << " location " << f.location
+          << " log scale " << f.log_scale;
+    }
   }
 
   std::stringstream interval;
@@ -378,7 +392,6 @@ TEST(GoldenDigestTest, GmmModelEstimatesAndSaveBytes) {
   opts.made.hidden_sizes = {32, 32};
   opts.epochs = 2;
   opts.large_domain_threshold = 200;
-  opts.gmm_samples_per_component = 500;
   opts.progressive_samples = 64;
   core::ArDensityEstimator model(twi, opts);
   model.Train();
@@ -396,8 +409,8 @@ TEST(GoldenDigestTest, GmmModelEstimatesAndSaveBytes) {
   std::ostringstream saved;
   ASSERT_TRUE(model.Save(saved).ok());
 
-  EXPECT_EQ(Fnv1a64(estimate_bits), 0x12bab625b7777673ull);
-  EXPECT_EQ(Fnv1a64(saved.str()), 0xc60bacbd17b2151bull);
+  EXPECT_EQ(Fnv1a64(estimate_bits), 0x0440acb26bf1109bull);
+  EXPECT_EQ(Fnv1a64(saved.str()), 0x8f5fe647754b080aull);
 }
 
 }  // namespace
