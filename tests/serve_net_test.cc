@@ -393,7 +393,7 @@ TEST(ServePipelineTest, InterleavedResponsesArriveInSubmissionOrder) {
 }
 
 // Short-write recovery: a client with a tiny receive buffer pipelines many
-// kMetrics requests (multi-KB responses) without reading. The server's
+// kMetrics requests (~15 KB responses) without reading. The server's
 // non-blocking sends hit EAGAIN, park on EPOLLOUT, and must resume cleanly —
 // every response intact and in order once the client finally reads.
 TEST(ServePipelineTest, ShortWritesOnResponsePathRecover) {
@@ -401,14 +401,24 @@ TEST(ServePipelineTest, ShortWritesOnResponsePathRecover) {
   ASSERT_TRUE(server.Start().ok());
   const int fd = RawConnect(server.port(), /*rcvbuf_bytes=*/2048);
 
-  constexpr int kRequests = 256;
+  // On loopback the server's send buffer autotunes up to the tcp_wmem
+  // maximum (4 MB by default), so the responses must total well beyond that
+  // before a send can hit EAGAIN.
+  constexpr int kRequests = 512;
   std::string wire;
   for (int i = 0; i < kRequests; ++i) {
     AppendFrame(&wire, {FrameType::kMetrics, ""});
   }
   SendAll(fd, wire.data(), wire.size());
-  // Give the server time to answer into the stalled socket.
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  // Let the server answer into the stalled socket until a send parks on
+  // EPOLLOUT. Reading any earlier could drain the window as fast as the
+  // server fills it.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (GlobalCounterValue("iam_serve_partial_writes_total") == 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
 
   for (int i = 0; i < kRequests; ++i) {
     Frame response;
