@@ -37,13 +37,12 @@ namespace {
 }
 
 void FuzzRawEnvelope(std::istream& in) {
-  uint32_t version = 0;
   const iam::Result<std::string> payload =
-      iam::ReadEnvelope(in, "IAMMODEL", iam::core::kModelFormatVersion,
-                        &version);
+      iam::ReadEnvelope(in, "IAMMODEL", iam::core::kModelFormatVersion);
   if (!payload.ok()) return;
   std::stringstream again(std::ios::in | std::ios::out | std::ios::binary);
-  iam::WriteEnvelope(again, "IAMMODEL", version, *payload);
+  iam::WriteEnvelope(again, "IAMMODEL", iam::core::kModelFormatVersion,
+                     *payload);
   const iam::Result<std::string> reread =
       iam::ReadEnvelope(again, "IAMMODEL", iam::core::kModelFormatVersion);
   if (!reread.ok() || *reread != *payload) {

@@ -43,6 +43,10 @@
 #   9. asan-net    ASan+UBSan over the `net`-labeled loopback serving tests —
 #                  the untrusted-input surface (frame decode, envelope load)
 #                  exercised over real sockets under memory checking.
+#   9a. asan-kern  the same ASan build runs the kernel oracles (KernelsTest,
+#                  Isa/KernelArmTest, Layouts/ResMadeOracleTest): the
+#                  kept-list kernels' whole-vector loads past a window's end
+#                  must stay inside nn::Matrix's tail slack.
 #  10. fuzz-smoke  clang only: IAM_FUZZ=ON + ASan build of the libFuzzer
 #                  harnesses (fuzz/), a bounded -runs= round per target
 #                  seeded from the committed corpus, then the corpus-replay
@@ -486,6 +490,16 @@ fi
 # Running exactly that label under ASan+UBSan memory-checks the frame
 # decoder, the envelope loader behind kSwap, and the connection buffers.
 run_config "${prefix}-asan-net" -L net -- -DIAM_SANITIZE=address
+
+# --- Stage 9a: ASan over the kernel oracles. -------------------------------
+# The kept-list kernels load whole weight vectors up to 15 floats past a
+# window's last output and rely on nn::Matrix's zeroed tail slack for them
+# (DESIGN.md §10). The tail sweep and the ResMADE oracle put windows flush
+# against the end of a buffer, so a missing or short slack is a
+# heap-buffer-overflow here. Reuses the ASan build of stage 9.
+echo "=== asan kernels: kernel and ResMADE oracles under ASan ==="
+ctest --test-dir "${prefix}-asan-net" --output-on-failure -j "${jobs}" \
+  -R '^(KernelsTest|Isa/KernelArmTest|Layouts/ResMadeOracleTest)\.'
 
 # --- Stage 10: bounded fuzz smoke (clang only). ----------------------------
 # Builds the libFuzzer harnesses under ASan+UBSan, runs a bounded round per

@@ -1033,17 +1033,9 @@ Result<std::unique_ptr<ArDensityEstimator>> ArDensityEstimator::Load(
 
 Result<std::unique_ptr<ArDensityEstimator>> ArDensityEstimator::LoadFromStream(
     std::istream& stream) {
-  uint32_t version = 0;
   Result<std::string> payload =
-      ReadEnvelope(stream, kModelMagic, kModelFormatVersion, &version);
+      ReadEnvelope(stream, kModelMagic, kModelFormatVersion);
   if (!payload.ok()) return payload.status();
-  // Older payloads lay their reducer blobs out differently; parsing one as
-  // the current layout would misread it.
-  if (version != kModelFormatVersion) {
-    return Status::IoError("unsupported model format version " +
-                           std::to_string(version) + " (this build reads " +
-                           std::to_string(kModelFormatVersion) + ")");
-  }
   std::istringstream in(std::move(payload.value()));
 
   // The Load() constructor is private; make_unique cannot reach it.

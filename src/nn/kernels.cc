@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 #include <string_view>
+#include <type_traits>
 
 #include "nn/kernel_arms.h"
 #include "obs/metrics.h"
@@ -79,27 +80,9 @@ namespace {
 typedef float Floats4 __attribute__((vector_size(16)));
 typedef float Floats8 __attribute__((vector_size(32)));
 typedef float Floats16 __attribute__((vector_size(64)));
-
 template <int kLanes>
-struct LaneType;
-template <>
-struct LaneType<1> {
-  using type = float;
-};
-template <>
-struct LaneType<4> {
-  using type = Floats4;
-};
-template <>
-struct LaneType<8> {
-  using type = Floats8;
-};
-template <>
-struct LaneType<16> {
-  using type = Floats16;
-};
-template <int kLanes>
-using Lanes = typename LaneType<kLanes>::type;
+using Lanes = std::conditional_t<
+    kLanes == 4, Floats4, std::conditional_t<kLanes == 8, Floats8, Floats16>>;
 
 // Copies rows [b0, b0 + kRows) of x, gathered at `kept`, into xp so that
 // xp[r * nk + j] == x[b0 + r][kept[j]].
@@ -113,22 +96,30 @@ inline void PackRows(const Matrix& x, int b0, std::span<const int> kept,
   }
 }
 
-// kRows batch rows × one strip of kVecs values of kLanes floats, starting
-// at output o. The accumulators live in registers, and each lane sums its
-// terms one after the other in list order — every weight row loaded once
-// serves all kRows rows, yet nothing is reassociated relative to the
-// reference kernel, whatever the lane count.
+// kRows batch rows × one strip of kVecs vectors of kLanes floats, holding
+// the n outputs [o, o + n), n > kLanes * (kVecs - 1). The accumulators live
+// in registers, and each lane sums its terms one after the other in list
+// order — every weight row loaded once serves all kRows rows, yet nothing is
+// reassociated relative to the reference kernel, whatever the lane count.
+// Weights are loaded as whole vectors, so a short strip reads up to
+// kLanes - 1 floats past output o + n - 1 (the Matrix slack backs them, see
+// kernels.h); bias is read and y written only for the n valid lanes. Lanes
+// are independent, so the lanes past n change nothing.
 template <int kRows, int kVecs, int kLanes>
 inline void KeptStrip(const float* IAM_RESTRICT xp, const int* kept, int nk,
                       const float* IAM_RESTRICT wt, size_t ldw,
-                      const float* bias, float* const* yr, int o) {
+                      const float* bias, float* const* yr, int o, int n) {
   using V = Lanes<kLanes>;
   static_assert(sizeof(V) == sizeof(float) * kLanes);
+  // Partial copies go through `lanes`, so that no accumulator's address
+  // escapes into a variable-length copy and all of them stay in registers.
+  const size_t bytes = sizeof(float) * n;
+  const bool whole = n == kVecs * kLanes;
+  V lanes[kVecs] = {};
+  if (bias != nullptr) std::memcpy(lanes, bias + o, bytes);
   V acc[kRows][kVecs];
-  for (int v = 0; v < kVecs; ++v) {
-    V init{};
-    if (bias != nullptr) std::memcpy(&init, bias + o + kLanes * v, sizeof(V));
-    for (int r = 0; r < kRows; ++r) acc[r][v] = init;
+  for (int r = 0; r < kRows; ++r) {
+    for (int v = 0; v < kVecs; ++v) acc[r][v] = lanes[v];
   }
   for (int j = 0; j < nk; ++j) {
     const float* wj = wt + static_cast<size_t>(kept[j]) * ldw + o;
@@ -139,37 +130,19 @@ inline void KeptStrip(const float* IAM_RESTRICT xp, const int* kept, int nk,
     }
   }
   for (int r = 0; r < kRows; ++r) {
-    for (int v = 0; v < kVecs; ++v) {
-      std::memcpy(yr[r] + o + kLanes * v, &acc[r][v], sizeof(V));
+    if (whole) {
+      std::memcpy(yr[r] + o, acc[r], sizeof(acc[r]));
+    } else {
+      for (int v = 0; v < kVecs; ++v) lanes[v] = acc[r][v];
+      std::memcpy(yr[r] + o, lanes, bytes);
     }
-  }
-}
-
-// The outputs [o, out) left over by the two-vector strips, fewer than
-// 2 * kLanes: one strip of each narrower width that fits, halving down to
-// four lanes, then one output at a time. A 30-logit window on the 16-lane
-// arm, say, runs as 16 + 8 + 4 + 1 + 1.
-template <int kRows, int kLanes>
-inline void KeptTail(const float* xp, const int* kept, int nk, const float* wt,
-                     size_t ldw, const float* bias, float* const* yr, int o,
-                     int out) {
-  if constexpr (kLanes == 1) {
-    for (; o < out; ++o) {
-      KeptStrip<kRows, 1, 1>(xp, kept, nk, wt, ldw, bias, yr, o);
-    }
-  } else {
-    if (o + kLanes <= out) {
-      KeptStrip<kRows, 1, kLanes>(xp, kept, nk, wt, ldw, bias, yr, o);
-      o += kLanes;
-    }
-    KeptTail<kRows, kLanes == 4 ? 1 : kLanes / 2>(xp, kept, nk, wt, ldw, bias,
-                                                  yr, o, out);
   }
 }
 
 // One packed row block across all outputs: strips of two kLanes vectors,
-// then the narrower remainders, then the ReLU over the block's rows while
-// they are still in L1.
+// the remainder (fewer than 2 * kLanes outputs) as one strip of one or two
+// whole vectors, then the ReLU over the block's rows while they are still
+// in L1.
 template <int kRows, int kLanes>
 void KeptRowBlock(const float* xp, std::span<const int> kept, const float* wt,
                   size_t ldw, int out, const float* bias, bool relu,
@@ -179,9 +152,17 @@ void KeptRowBlock(const float* xp, std::span<const int> kept, const float* wt,
   const int nk = static_cast<int>(kept.size());
   int o = 0;
   for (; o + 2 * kLanes <= out; o += 2 * kLanes) {
-    KeptStrip<kRows, 2, kLanes>(xp, kept.data(), nk, wt, ldw, bias, yr, o);
+    KeptStrip<kRows, 2, kLanes>(xp, kept.data(), nk, wt, ldw, bias, yr, o,
+                                2 * kLanes);
   }
-  KeptTail<kRows, kLanes>(xp, kept.data(), nk, wt, ldw, bias, yr, o, out);
+  const int rest = out - o;
+  if (rest > kLanes) {
+    KeptStrip<kRows, 2, kLanes>(xp, kept.data(), nk, wt, ldw, bias, yr, o,
+                                rest);
+  } else if (rest > 0) {
+    KeptStrip<kRows, 1, kLanes>(xp, kept.data(), nk, wt, ldw, bias, yr, o,
+                                rest);
+  }
   if (relu) {
     for (int r = 0; r < kRows; ++r) {
       float* IAM_RESTRICT yo = yr[r];
@@ -305,8 +286,8 @@ void DenseForward(const Matrix& x, const Matrix& w,
   IAM_CHECK(w.cols() == x.cols());
   IAM_CHECK(bias.empty() || static_cast<int>(bias.size()) == w.rows());
   if (x.rows() >= kTransposeBatchThreshold) {
-    // Caller-owned transpose scratch: reused across calls, so steady-state
-    // batched inference pays one out*in copy per call (<1% of the GEMM).
+    // Caller-owned transpose scratch, reused across calls: each call pays
+    // one tiled out*in copy before the product.
     TransposeInto(w, wt_scratch);
     std::vector<int> all(static_cast<size_t>(x.cols()));
     for (int i = 0; i < x.cols(); ++i) all[i] = i;
@@ -543,16 +524,26 @@ void SoftmaxRows(const Matrix& logits, Matrix& probs) {
   }
 }
 
+// In 32×32 tiles written one destination row at a time: a row-by-row copy
+// stores with a stride of `rows` floats, which for 128 or 256 rows hits few
+// cache sets and ran several times slower.
 void TransposeInto(const Matrix& src, Matrix& dst) {
+  constexpr int kTile = 32;
   const int rows = src.rows();
   const int cols = src.cols();
   dst.ResizeUninitialized(cols, rows);
   const float* IAM_RESTRICT s = src.data();
   float* IAM_RESTRICT d = dst.data();
-  for (int r = 0; r < rows; ++r) {
-    const float* srow = s + static_cast<size_t>(r) * cols;
-    for (int c = 0; c < cols; ++c) {
-      d[static_cast<size_t>(c) * rows + r] = srow[c];
+  for (int r0 = 0; r0 < rows; r0 += kTile) {
+    const int r1 = std::min(rows, r0 + kTile);
+    for (int c0 = 0; c0 < cols; c0 += kTile) {
+      const int c1 = std::min(cols, c0 + kTile);
+      for (int c = c0; c < c1; ++c) {
+        float* drow = d + static_cast<size_t>(c) * rows;
+        for (int r = r0; r < r1; ++r) {
+          drow[r] = s[static_cast<size_t>(r) * cols + c];
+        }
+      }
     }
   }
 }

@@ -66,10 +66,16 @@ void LinearReluForward(const Matrix& x, const Matrix& w,
 // product, a sublist skips inputs whose weights are known to be zero — and
 // `wt` may point into a wider matrix to evaluate a window of its columns.
 // Tiles are 4 batch rows × two vectors of the arm's width (8, 16 or 32
-// outputs), with narrower and scalar remainders; the gathered x of each row
-// block is packed once and shared by every strip.
+// outputs); the remainder is one strip of one or two whole vectors, and the
+// gathered x of each row block is packed once and shared by every strip.
 // Rows are computed independently, so a row's output does not depend on the
 // batch it rides in. bias must have exactly `out` entries or be empty.
+//
+// `wt` must point into an nn::Matrix: the remainder strip loads whole weight
+// vectors, reading up to 15 floats past a window's last column, which lands
+// in the next row or, for the last row, in the Matrix's zeroed tail slack
+// (Matrix::kTailSlack). bias is read and y written only for the `out` valid
+// outputs, so bias may be any caller vector.
 void LinearForwardT(const Matrix& x, std::span<const int> kept,
                     const float* wt, int ldw, int out,
                     std::span<const float> bias, Matrix& y, bool fuse_relu);
@@ -123,7 +129,9 @@ struct SparseRows {
 // zero input lanes is bitwise equivalent to the dense kernel because adding
 // x[i] * w == 0 never changes a finite accumulator (the lone exception, an
 // accumulator that is exactly -0.0f, cannot arise from the encodings we feed
-// this kernel). bias must have exactly `out` entries or be empty.
+// this kernel). bias must have exactly `out` entries or be empty. It runs
+// the strips of LinearForwardT, whose whole-vector loads the slack of the
+// Matrix `wt` backs.
 void SparseLinearForward(const SparseRows& x, const Matrix& wt, int out,
                          std::span<const float> bias, Matrix& y,
                          bool fuse_relu);

@@ -22,9 +22,16 @@ namespace iam::nn {
 // their vector loads from straddling lines at the buffer head. Row pointers
 // are only as aligned as cols allows; the kernels use unaligned vector
 // accesses and do not rely on per-row alignment.
+//
+// Every buffer also ends in kTailSlack readable floats past its capacity,
+// zeroed when the buffer is allocated and never written: the kept-list
+// kernels load whole weight vectors across the last output of a window, up
+// to 15 floats past it on the 16-lane arm, so a window may sit flush
+// against the end of the last row (see kernels.h).
 class Matrix {
  public:
   static constexpr size_t kAlignment = 64;
+  static constexpr size_t kTailSlack = 32;
 
   Matrix() : rows_(0), cols_(0) {}
   Matrix(int rows, int cols) : rows_(0), cols_(0) {
@@ -142,8 +149,10 @@ class Matrix {
   using AlignedBuffer = std::unique_ptr<float[], AlignedDeleter>;
 
   static float* Allocate(size_t n) {
-    return static_cast<float*>(
-        ::operator new[](n * sizeof(float), std::align_val_t{kAlignment}));
+    float* p = static_cast<float*>(::operator new[](
+        (n + kTailSlack) * sizeof(float), std::align_val_t{kAlignment}));
+    std::memset(p + n, 0, kTailSlack * sizeof(float));
+    return p;
   }
 
   int rows_;

@@ -39,8 +39,7 @@ void WriteEnvelope(std::ostream& out, std::string_view magic8,
 }
 
 Result<std::string> ReadEnvelope(std::istream& in, std::string_view magic8,
-                                 uint32_t max_supported_version,
-                                 uint32_t* version_out) {
+                                 uint32_t version) {
   IAM_CHECK(magic8.size() == 8);
   char magic[8] = {};
   in.read(magic, 8);
@@ -49,16 +48,17 @@ Result<std::string> ReadEnvelope(std::istream& in, std::string_view magic8,
     return Status::IoError("bad magic: expected '" + std::string(magic8) +
                            "'");
   }
-  uint32_t version = 0;
+  uint32_t stored = 0;
   uint64_t size = 0;
   uint64_t digest = 0;
-  IAM_RETURN_IF_ERROR(ReadPod(in, &version));
+  IAM_RETURN_IF_ERROR(ReadPod(in, &stored));
   IAM_RETURN_IF_ERROR(ReadPod(in, &size));
   IAM_RETURN_IF_ERROR(ReadPod(in, &digest));
-  if (version == 0 || version > max_supported_version) {
-    return Status::IoError("unsupported format version " +
-                           std::to_string(version) + " (max supported " +
-                           std::to_string(max_supported_version) + ")");
+  if (stored != version) {
+    return Status::IoError("unsupported " + std::string(magic8) +
+                           " format version " + std::to_string(stored) +
+                           " (this build reads " + std::to_string(version) +
+                           ")");
   }
   if (size > (1ULL << 34)) {
     return Status::IoError("implausible payload size");
@@ -72,7 +72,6 @@ Result<std::string> ReadEnvelope(std::istream& in, std::string_view magic8,
   if (Fnv1a64(payload) != digest) {
     return Status::IoError("payload checksum mismatch (corrupted file)");
   }
-  if (version_out != nullptr) *version_out = version;
   return payload;
 }
 

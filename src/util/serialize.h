@@ -118,18 +118,17 @@ uint64_t Fnv1a64(std::string_view data);
 //   [8-byte magic][u32 format version][u64 payload size][u64 FNV-1a][payload]
 //
 // Writers serialize their payload into a buffer first; readers validate the
-// magic, the version range, the declared size and the digest before any field
+// magic, the version, the declared size and the digest before any field
 // of the payload is interpreted, so a truncated, bit-flipped or foreign file
 // yields a clean Status instead of a half-constructed model.
 void WriteEnvelope(std::ostream& out, std::string_view magic8,
                    uint32_t version, std::string_view payload);
 
-// Reads and validates one envelope; `*version_out` (optional) receives the
-// stored format version. Versions above `max_supported_version` are rejected
-// ("file written by a newer build").
+// Reads and validates one envelope written at exactly `version`, the one
+// payload layout the caller parses. Every other version, older or newer, is
+// rejected with a message that names both.
 Result<std::string> ReadEnvelope(std::istream& in, std::string_view magic8,
-                                 uint32_t max_supported_version,
-                                 uint32_t* version_out = nullptr);
+                                 uint32_t version);
 
 }  // namespace iam
 

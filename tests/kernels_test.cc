@@ -40,6 +40,16 @@ void ExpectSameSpan(std::span<const float> got, std::span<const float> want) {
   }
 }
 
+// Bitwise equality, -0.0f against +0.0f included.
+void ExpectSameBits(const Matrix& got, const Matrix& want,
+                    const std::string& where) {
+  ASSERT_EQ(got.rows(), want.rows()) << where;
+  ASSERT_EQ(got.cols(), want.cols()) << where;
+  EXPECT_EQ(std::memcmp(got.data(), want.data(), want.size() * sizeof(float)),
+            0)
+      << where;
+}
+
 // The public entry points, which run the arm internal::ChosenArm() picked.
 const KernelArm kPublic = {"public",         &LinearForward,
                            &LinearReluForward, &LinearForwardT,
@@ -65,10 +75,37 @@ std::vector<int> AllInputs(int in) {
   return all;
 }
 
-// Shapes chosen to exercise every remainder path of the tiled kernels: the
-// 8-wide strips, the 4-wide strips, the scalar remainder, the one-row batch
-// remainder of the 4-row blocks, the small-batch tile (batch < 8 skips the
-// transpose), and degenerate widths.
+// Matches ReluForward semantics: non-positive (and NaN) -> 0.
+void ApplyRelu(Matrix& m) {
+  for (int r = 0; r < m.rows(); ++r) {
+    for (int c = 0; c < m.cols(); ++c) {
+      if (!(m.at(r, c) > 0.0f)) m.at(r, c) = 0.0f;
+    }
+  }
+}
+
+// The reference result of the kept-list product: the reference kernel over
+// the gathered inputs x[., kept[j]] and weights w[o][kept[j]], o < out,
+// which adds the same terms in the same order.
+Matrix KeptReference(const Matrix& x, const Matrix& w,
+                     const std::vector<int>& kept, int out,
+                     std::span<const float> bias, bool relu) {
+  const int nk = static_cast<int>(kept.size());
+  Matrix xk(x.rows(), nk), wk(out, nk), want;
+  for (int j = 0; j < nk; ++j) {
+    for (int b = 0; b < x.rows(); ++b) xk.at(b, j) = x.at(b, kept[j]);
+    for (int o = 0; o < out; ++o) wk.at(o, j) = w.at(o, kept[j]);
+  }
+  LinearForwardRef(xk, wk, bias, want);
+  if (relu) ApplyRelu(want);
+  return want;
+}
+
+// Shapes chosen to exercise every remainder path of the tiled kernels: whole
+// two-vector strips and the one- or two-vector remainder strip on each arm,
+// the one-row batch remainder of the 4-row blocks, the small-batch tile
+// (batch < 8 skips the transpose), and degenerate widths. The tail sweep
+// below covers every remainder width of every arm.
 const int kBatches[] = {1, 2, 3, 5, 8, 17, 64};
 const int kWidths[] = {1, 2, 3, 5, 7, 16, 17, 33, 64, 100};
 
@@ -79,6 +116,51 @@ TEST(KernelsTest, MatrixStorageIsCacheLineAligned) {
     m.ResizeUninitialized(2 * n, n + 1);
     EXPECT_EQ(reinterpret_cast<uintptr_t>(m.data()) % Matrix::kAlignment, 0u);
   }
+}
+
+// The kTailSlack floats past the last element are readable after every way
+// a Matrix gets its buffer (under ASan a missing slack is a heap overflow
+// here), and zero wherever the buffer was allocated at exactly its size.
+void ExpectReadableTail(const Matrix& m, bool zero, const char* where) {
+  ASSERT_NE(m.data(), nullptr) << where;
+  for (size_t k = 0; k < Matrix::kTailSlack; ++k) {
+    const float v = m.data()[m.size() + k];
+    if (zero) {
+      EXPECT_EQ(v, 0.0f) << where << " slack float " << k;
+    } else {
+      EXPECT_TRUE(v == v) << where << " slack float " << k;  // not NaN
+    }
+  }
+}
+
+TEST(KernelsTest, MatrixTailSlackSurvivesResizeCopyAndMove) {
+  Matrix m(3, 5);
+  for (size_t i = 0; i < m.size(); ++i) m.data()[i] = 1.0f + i;
+  ExpectReadableTail(m, /*zero=*/true, "constructed");
+
+  m.Resize(4, 7);  // grows: a new buffer, prefix copied
+  ExpectReadableTail(m, /*zero=*/true, "Resize grow");
+  m.Resize(2, 3);  // shrinks in place: old elements then the slack
+  ExpectReadableTail(m, /*zero=*/false, "Resize shrink");
+
+  m.ResizeUninitialized(9, 11);  // grows: a new buffer
+  for (size_t i = 0; i < m.size(); ++i) m.data()[i] = 2.0f;
+  ExpectReadableTail(m, /*zero=*/true, "ResizeUninitialized grow");
+  m.ResizeUninitialized(1, 4);
+  ExpectReadableTail(m, /*zero=*/false, "ResizeUninitialized shrink");
+
+  m.ResizeUninitialized(9, 11);
+  const Matrix copied(m);
+  ExpectReadableTail(copied, /*zero=*/true, "copy-constructed");
+  Matrix assigned(1, 1);
+  assigned = m;
+  ExpectReadableTail(assigned, /*zero=*/true, "copy-assigned");
+
+  Matrix moved(std::move(assigned));
+  ExpectReadableTail(moved, /*zero=*/true, "move-constructed");
+  Matrix move_assigned;
+  move_assigned = std::move(moved);
+  ExpectReadableTail(move_assigned, /*zero=*/true, "move-assigned");
 }
 
 void CheckLinearForwardMatchesReferenceAcrossShapes(const KernelArm& k) {
@@ -117,12 +199,7 @@ void CheckFusedReluMatchesReferenceThenRelu(const KernelArm& k) {
 
         Matrix want;
         LinearForwardRef(x, w, bias, want);
-        for (int r = 0; r < want.rows(); ++r) {
-          for (int c = 0; c < want.cols(); ++c) {
-            // Matches ReluForward semantics: non-positive (and NaN) -> 0.
-            if (!(want.at(r, c) > 0.0f)) want.at(r, c) = 0.0f;
-          }
-        }
+        ApplyRelu(want);
         Matrix got, wt_scratch;
         k.linear_relu_forward(x, w, bias, got, wt_scratch);
         ExpectSameMatrix(got, want);
@@ -151,11 +228,7 @@ void CheckTransposedKernelsMatchReference(const KernelArm& k) {
                        /*fuse_relu=*/false);
         ExpectSameMatrix(got, want);
 
-        for (int r = 0; r < want.rows(); ++r) {
-          for (int c = 0; c < want.cols(); ++c) {
-            if (!(want.at(r, c) > 0.0f)) want.at(r, c) = 0.0f;
-          }
-        }
+        ApplyRelu(want);
         k.linear_forward_t(x, all, wt.data(), out, out, bias, got,
                        /*fuse_relu=*/true);
         ExpectSameMatrix(got, want);
@@ -217,8 +290,6 @@ void CheckKeptListKernelMatchesReferenceOnGatheredInputs(const KernelArm& k) {
         std::swap(kept[j - 1], kept[rng.UniformInt(j)]);
       }
     }
-    const int nk = static_cast<int>(kept.size());
-
     Matrix x(batch, in), w(width, in), wt;
     FillRandom(x, rng);
     FillRandom(w, rng);
@@ -226,19 +297,7 @@ void CheckKeptListKernelMatchesReferenceOnGatheredInputs(const KernelArm& k) {
     const std::vector<float> bias = RandomBias(out, rng);
     const bool relu = trial % 3 == 0;
 
-    Matrix xk(batch, nk), wk(out, nk), want;
-    for (int j = 0; j < nk; ++j) {
-      for (int b = 0; b < batch; ++b) xk.at(b, j) = x.at(b, kept[j]);
-      for (int o = 0; o < out; ++o) wk.at(o, j) = w.at(o, kept[j]);
-    }
-    LinearForwardRef(xk, wk, bias, want);
-    if (relu) {
-      for (int r = 0; r < want.rows(); ++r) {
-        for (int c = 0; c < want.cols(); ++c) {
-          if (!(want.at(r, c) > 0.0f)) want.at(r, c) = 0.0f;
-        }
-      }
-    }
+    const Matrix want = KeptReference(x, w, kept, out, bias, relu);
     Matrix got;
     k.linear_forward_t(x, kept, wt.data(), width, out, bias, got, relu);
     ExpectSameMatrix(got, want);
@@ -280,11 +339,7 @@ void CheckSparseForwardMatchesDenseOnSparseInput(const KernelArm& k) {
         k.sparse_linear_forward(sx, wt, out, bias, got, /*fuse_relu=*/false);
         ExpectSameMatrix(got, want);
 
-        for (int r = 0; r < want.rows(); ++r) {
-          for (int c = 0; c < want.cols(); ++c) {
-            if (!(want.at(r, c) > 0.0f)) want.at(r, c) = 0.0f;
-          }
-        }
+        ApplyRelu(want);
         k.sparse_linear_forward(sx, wt, out, bias, got, /*fuse_relu=*/true);
         ExpectSameMatrix(got, want);
       }
@@ -304,6 +359,112 @@ void CheckSparseForwardHandlesAllEmptyRows(const KernelArm& k) {
   ASSERT_EQ(y.cols(), 5);
   for (int r = 0; r < 3; ++r) {
     for (int c = 0; c < 5; ++c) EXPECT_EQ(y.at(r, c), bias[c]);
+  }
+}
+
+// Output counts that end in every remainder strip of every arm (1..2L+1 for
+// the widest arm's L = 16 lanes, which covers the 8 and 4 of the others),
+// and the degree-truncated widths of the ResMADE hidden layers.
+std::vector<int> TailWidths() {
+  std::vector<int> widths;
+  for (int out = 1; out <= 33; ++out) widths.push_back(out);
+  for (const int out : {43, 85, 107, 171, 213}) widths.push_back(out);
+  return widths;
+}
+
+// y is written only at its valid outputs: a store past the last output of
+// the last row would land in y's slack, which is zero while y's buffer is
+// the one the kernel allocated at exactly y's size.
+void ExpectZeroSlack(const Matrix& y, const std::string& where) {
+  for (size_t k = 0; k < Matrix::kTailSlack; ++k) {
+    EXPECT_EQ(y.data()[y.size() + k], 0.0f) << where << " slack float " << k;
+  }
+}
+
+// Every kernel that runs the kept-list strips, at every tail width, with and
+// without bias and ReLU, against the reference bit for bit. The weights sit
+// flush against the right edge of the last row of their Matrix (wt is
+// exactly [in, out], or the window is the last `out` columns of a wider
+// one), so the remainder strip's whole-vector loads run into the Matrix
+// slack: ASan reports an overflow here if the slack is missing. The bias is
+// a caller vector with no slack, and a prefix window of the wider matrix
+// reads real weights past its last output, so a store there would show in
+// y's slack.
+void CheckTailStripsMatchReference(const KernelArm& k) {
+  Rng rng(0x5eed9);
+  const int in = 14;
+  std::vector<int> odd;  // a sublist that reads the last weight row
+  for (int i = 1; i < in; i += 2) odd.push_back(i);
+  const std::vector<int> all = AllInputs(in);
+  const std::vector<int>* const lists[] = {&all, &odd};
+  for (const int out : TailWidths()) {
+    constexpr int kLead = 7;  // columns before the flush window
+    const int width = kLead + out;
+    Matrix wide(width, in), wide_t;
+    FillRandom(wide, rng);
+    TransposeInto(wide, wide_t);
+    Matrix w(out, in), wt;  // the last `out` rows of `wide`
+    std::memcpy(w.data(), wide.row(kLead), w.size() * sizeof(float));
+    TransposeInto(w, wt);
+    const std::vector<float> wide_bias = RandomBias(width, rng);
+    const std::span<const float> last_bias =
+        std::span<const float>(wide_bias).last(out);
+    for (const int batch : {1, 5, 9}) {  // 9 >= 8: LinearForward transposes
+      Matrix x(batch, in);
+      FillRandom(x, rng);
+      for (const bool with_bias : {false, true}) {
+        const std::span<const float> bias =
+            with_bias ? last_bias : std::span<const float>();
+        for (const bool relu : {false, true}) {
+          const std::string where =
+              std::string(k.isa) + " out " + std::to_string(out) + " batch " +
+              std::to_string(batch) + (with_bias ? " bias" : "") +
+              (relu ? " relu" : "");
+          for (const std::vector<int>* kept : lists) {
+            const Matrix want = KeptReference(x, w, *kept, out, bias, relu);
+            Matrix got, window, sparse;
+            k.linear_forward_t(x, *kept, wt.data(), out, out, bias, got, relu);
+            ExpectSameBits(got, want, where + " forward_t");
+            k.linear_forward_t(x, *kept, wide_t.data() + kLead, width, out,
+                               bias, window, relu);
+            ExpectSameBits(window, want, where + " forward_t flush window");
+
+            SparseRows sx;
+            sx.Reset(in);
+            for (int b = 0; b < batch; ++b) {
+              for (const int i : *kept) sx.Push(i, x.at(b, i));
+              sx.EndRow();
+            }
+            k.sparse_linear_forward(sx, wt, out, bias, sparse, relu);
+            ExpectSameBits(sparse, want, where + " sparse");
+          }
+          // The first `out` columns of the wide matrix: the loads past the
+          // last output read real weights.
+          const std::span<const float> first_bias =
+              with_bias ? std::span<const float>(wide_bias).first(out)
+                        : std::span<const float>();
+          Matrix prefix_w(out, in), prefix;
+          std::memcpy(prefix_w.data(), wide.data(),
+                      prefix_w.size() * sizeof(float));
+          k.linear_forward_t(x, all, wide_t.data(), width, out, first_bias,
+                             prefix, relu);
+          ExpectSameBits(prefix,
+                         KeptReference(x, prefix_w, all, out, first_bias,
+                                       relu),
+                         where + " forward_t prefix window");
+          ExpectZeroSlack(prefix, where + " forward_t prefix window");
+
+          Matrix dense, scratch;
+          if (relu) {
+            k.linear_relu_forward(x, w, bias, dense, scratch);
+          } else {
+            k.linear_forward(x, w, bias, dense, scratch);
+          }
+          ExpectSameBits(dense, KeptReference(x, w, all, out, bias, relu),
+                         where + " dense");
+        }
+      }
+    }
   }
 }
 
@@ -362,18 +523,11 @@ TEST(KernelsTest, SparseForwardMatchesDenseOnSparseInput) {
 TEST(KernelsTest, SparseForwardHandlesAllEmptyRows) {
   CheckSparseForwardHandlesAllEmptyRows(kPublic);
 }
+TEST(KernelsTest, TailStripsMatchReference) {
+  CheckTailStripsMatchReference(kPublic);
+}
 TEST(KernelsTest, LinearBackwardMatchesReferenceWithZeroRows) {
   CheckLinearBackwardMatchesReferenceWithZeroRows(kPublic);
-}
-
-// Bitwise equality, -0.0f against +0.0f included.
-void ExpectSameBits(const Matrix& got, const Matrix& want,
-                    const std::string& where) {
-  ASSERT_EQ(got.rows(), want.rows()) << where;
-  ASSERT_EQ(got.cols(), want.cols()) << where;
-  EXPECT_EQ(std::memcmp(got.data(), want.data(), want.size() * sizeof(float)),
-            0)
-      << where;
 }
 
 // The hidden layers of the paper-configured ResMADE (256-128-128-256, so
@@ -535,6 +689,9 @@ TEST_P(KernelArmTest, SparseForwardMatchesDenseOnSparseInput) {
 }
 TEST_P(KernelArmTest, SparseForwardHandlesAllEmptyRows) {
   CheckSparseForwardHandlesAllEmptyRows(arm());
+}
+TEST_P(KernelArmTest, TailStripsMatchReference) {
+  CheckTailStripsMatchReference(arm());
 }
 TEST_P(KernelArmTest, LinearBackwardMatchesReferenceWithZeroRows) {
   CheckLinearBackwardMatchesReferenceWithZeroRows(arm());

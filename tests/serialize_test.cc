@@ -73,12 +73,10 @@ TEST(EnvelopeTest, RoundTripPreservesPayloadAndVersion) {
   std::stringstream stream;
   const std::string payload("binary\0payload\xff with every byte", 31);
   WriteEnvelope(stream, "TESTMAG8", 3, payload);
-  uint32_t version = 0;
   const Result<std::string> read =
-      ReadEnvelope(stream, "TESTMAG8", /*max_supported_version=*/5, &version);
+      ReadEnvelope(stream, "TESTMAG8", /*version=*/3);
   ASSERT_TRUE(read.ok()) << read.status().ToString();
   EXPECT_EQ(*read, payload);
-  EXPECT_EQ(version, 3u);
 }
 
 TEST(EnvelopeTest, WrongMagicRejected) {
@@ -92,9 +90,22 @@ TEST(EnvelopeTest, FutureVersionRejected) {
   std::stringstream stream;
   WriteEnvelope(stream, "TESTMAG8", 7, "payload");
   const Result<std::string> read =
-      ReadEnvelope(stream, "TESTMAG8", /*max_supported_version=*/6);
+      ReadEnvelope(stream, "TESTMAG8", /*version=*/6);
   EXPECT_FALSE(read.ok());
   EXPECT_NE(read.status().ToString().find("version"), std::string::npos);
+}
+
+// A reader parses exactly one payload layout, so an older version is
+// refused as firmly as a newer one, with both versions in the message.
+TEST(EnvelopeTest, OlderVersionRejected) {
+  std::stringstream stream;
+  WriteEnvelope(stream, "TESTMAG8", 2, "payload");
+  const Result<std::string> read =
+      ReadEnvelope(stream, "TESTMAG8", /*version=*/3);
+  ASSERT_FALSE(read.ok());
+  const std::string message = read.status().ToString();
+  EXPECT_NE(message.find("version 2"), std::string::npos) << message;
+  EXPECT_NE(message.find("reads 3"), std::string::npos) << message;
 }
 
 TEST(EnvelopeTest, EveryBitFlipIsDetected) {
