@@ -180,6 +180,70 @@ void BM_ResMadeConditional(benchmark::State& state) {
 }
 BENCHMARK(BM_ResMadeConditional)->ArgsProduct({{64, 256}, {0, 1, 2, 3, 4}});
 
+// The HIGGS shape of the paper configuration: 7 GMM-reduced columns of 30
+// components, 256-128-128-256 hidden units. Rows hold sampled values for the
+// columns before `col` and wildcards after, as in progressive sampling.
+struct HiggsConditional {
+  static constexpr int kColumns = 7;
+  ar::ResMade made{std::vector<int>(kColumns, 30), ar::ResMadeConfig{}, 3};
+  std::vector<int> rows;
+
+  HiggsConditional(int batch, int col) {
+    Rng rng(7);
+    for (int r = 0; r < batch; ++r) {
+      for (int c = 0; c < kColumns; ++c) {
+        rows.push_back(c < col ? static_cast<int>(rng.UniformInt(30))
+                               : made.wildcard_token(c));
+      }
+    }
+  }
+  ar::EncodedView view() const {
+    return {rows.data(), static_cast<int>(rows.size()) / kColumns, kColumns};
+  }
+};
+
+// Args: batch rows, target column. The full evaluation of column `col`:
+// every hidden unit of degree <= col.
+void BM_ResMadeConditionalHiggs(benchmark::State& state) {
+  const int batch = static_cast<int>(state.range(0));
+  const int col = static_cast<int>(state.range(1));
+  const HiggsConditional model(batch, col);
+  nn::Matrix probs;
+  ar::ResMade::Context ctx;
+  for (auto _ : state) {
+    model.made.ConditionalDistribution(model.view(), col, 0, {}, probs, ctx);
+    benchmark::DoNotOptimize(probs.data());
+  }
+  state.SetItemsProcessed(state.iterations() * batch);
+}
+BENCHMARK(BM_ResMadeConditionalHiggs)
+    ->ArgsProduct({{256}, {1, 2, 3, 4, 5, 6}});
+
+// The same conditional carried from column col - 1, as the sampler runs it:
+// each row copies its units of degree <= col - 1 from its parent row and
+// computes only the degree-col slab. The parent call is untimed.
+void BM_ResMadeConditionalCarried(benchmark::State& state) {
+  const int batch = static_cast<int>(state.range(0));
+  const int col = static_cast<int>(state.range(1));
+  const HiggsConditional model(batch, col);
+  std::vector<int> parent_of(batch);
+  for (int r = 0; r < batch; ++r) parent_of[r] = r;
+  nn::Matrix probs;
+  ar::ResMade::Context ctx;
+  for (auto _ : state) {
+    state.PauseTiming();
+    model.made.ConditionalDistribution(model.view(), col - 1, 0, {}, probs,
+                                       ctx);
+    state.ResumeTiming();
+    model.made.ConditionalDistribution(model.view(), col, col - 1, parent_of,
+                                       probs, ctx);
+    benchmark::DoNotOptimize(probs.data());
+  }
+  state.SetItemsProcessed(state.iterations() * batch);
+}
+BENCHMARK(BM_ResMadeConditionalCarried)
+    ->ArgsProduct({{256}, {1, 2, 3, 4, 5, 6}});
+
 void BM_GmmAssign(benchmark::State& state) {
   gmm::Gmm1D gmm(30);
   Rng rng(4);

@@ -44,9 +44,10 @@
 #                  the untrusted-input surface (frame decode, envelope load)
 #                  exercised over real sockets under memory checking.
 #   9a. asan-kern  the same ASan build runs the kernel oracles (KernelsTest,
-#                  Isa/KernelArmTest, Layouts/ResMadeOracleTest): the
-#                  kept-list kernels' whole-vector loads past a window's end
-#                  must stay inside nn::Matrix's tail slack.
+#                  Isa/KernelArmTest, Layouts/ResMadeOracleTest,
+#                  ResMadeCarryTest): the kept-list kernels' whole-vector
+#                  loads past a window's end must stay inside nn::Matrix's
+#                  tail slack, and the carry's row copies inside the rows.
 #  10. fuzz-smoke  clang only: IAM_FUZZ=ON + ASan build of the libFuzzer
 #                  harnesses (fuzz/), a bounded -runs= round per target
 #                  seeded from the committed corpus, then the corpus-replay
@@ -174,7 +175,7 @@ fi
 # ServePipelineTest exercises the loop's partial-read/partial-write paths.
 # ServeAdaptTest/AdaptControllerTest cover the adaptation loop: concurrent
 # feedback + load racing a retrain-and-swap, DESIGN.md §18. PooledSamplerTest
-# runs the pooled sampler's megabatches with concurrent callers against the
+# runs the sampler's per-worker queries with concurrent callers against the
 # test-side per-query reference sampler.)
 # IAM_SANITIZE=thread also arms the lock-rank checker (src/util/lock_rank.h),
 # so every ranked acquisition in these suites is order-checked and the
@@ -184,20 +185,21 @@ run_config "${prefix}-tsan-obs" -LE slow -R \
   -- -DIAM_SANITIZE=thread
 
 # --- Stage 6b: exact-equality gate. ----------------------------------------
-# The pooled cross-query sampler — EstimateBatch and EstimateAggregate — must
-# stay bit-identical at a fixed budget to the test-side per-query reference
-# sampler in tests/pooled_sampler_test.cc (DESIGN.md §14). The megabatch,
-# aggregate, fallback-isolation, and adaptive-determinism suites run on the
-# default (portable, exact-equality) build. The same suite rides the TSan
-# gate above for race coverage of the shared pooled scratch. The
-# degree-truncated ResMADE conditionals must match the dense reference
-# network bit for bit, the kept-list kernel the reference kernel on every
+# The sampler — EstimateBatch and EstimateAggregate — must stay
+# bit-identical at a fixed budget to the test-side per-query reference
+# sampler in tests/pooled_sampler_test.cc (DESIGN.md §14). The batch,
+# aggregate, fallback-isolation, batchmate-independence and
+# adaptive-determinism suites run on the default (portable, exact-equality)
+# build. The same suite rides the TSan gate above for race coverage of the
+# per-worker sampler scratch. The degree-truncated ResMADE conditionals must
+# match the dense reference network bit for bit, the carried conditionals
+# the full evaluation, the kept-list kernel the reference kernel on every
 # arm the CPU runs, and all arms each other at the ResMADE shapes
 # (DESIGN.md §10). A small GMM-reduced model's estimates and Save() bytes
 # must match their committed golden digests (DESIGN.md §5).
-echo "=== exact-equality gate: pooled sampler, truncated conditionals, kernel arms, golden digests ==="
+echo "=== exact-equality gate: sampler, truncated and carried conditionals, kernel arms, golden digests ==="
 ctest --test-dir "${prefix}-default" --output-on-failure -j "${jobs}" \
-  -R '^(PooledSamplerTest\.|Layouts/ResMadeOracleTest\.|KernelsTest\.KeptListKernelMatchesReferenceOnGatheredInputs$|KernelsTest\.AllArmsAgreeBitwiseAtResMadeShapes$|Isa/KernelArmTest\.|GoldenDigestTest\.)'
+  -R '^(PooledSamplerTest\.|Layouts/ResMadeOracleTest\.|ResMadeCarryTest\.|KernelsTest\.KeptListKernelMatchesReferenceOnGatheredInputs$|KernelsTest\.AllArmsAgreeBitwiseAtResMadeShapes$|Isa/KernelArmTest\.|GoldenDigestTest\.)'
 
 # --- Stage 7: metrics-export smoke test. -----------------------------------
 # Runs the end-to-end demo with --metrics and asserts the Prometheus text
@@ -496,10 +498,11 @@ run_config "${prefix}-asan-net" -L net -- -DIAM_SANITIZE=address
 # window's last output and rely on nn::Matrix's zeroed tail slack for them
 # (DESIGN.md §10). The tail sweep and the ResMADE oracle put windows flush
 # against the end of a buffer, so a missing or short slack is a
-# heap-buffer-overflow here. Reuses the ASan build of stage 9.
-echo "=== asan kernels: kernel and ResMADE oracles under ASan ==="
+# heap-buffer-overflow here. The carry tests copy activation rows by parent
+# index and write slab windows into them. Reuses the ASan build of stage 9.
+echo "=== asan kernels: kernel, ResMADE and carry oracles under ASan ==="
 ctest --test-dir "${prefix}-asan-net" --output-on-failure -j "${jobs}" \
-  -R '^(KernelsTest|Isa/KernelArmTest|Layouts/ResMadeOracleTest)\.'
+  -R '^(KernelsTest|Isa/KernelArmTest|Layouts/ResMadeOracleTest|ResMadeCarryTest)\.'
 
 # --- Stage 10: bounded fuzz smoke (clang only). ----------------------------
 # Builds the libFuzzer harnesses under ASan+UBSan, runs a bounded round per

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <cstring>
 #include <numeric>
 #include <span>
 #include <sstream>
@@ -319,37 +320,93 @@ void ResMade::Forward(const nn::Matrix& x, nn::EvalWorkspace& ws) const {
   output_.Forward(*current, ws.output, ws.wt_scratch);
 }
 
-const nn::Matrix& ResMade::ForwardHiddenEval(int col,
-                                             nn::EvalWorkspace& ws) const {
+namespace {
+
+// Rows [0, parent_of.size()) of `act` take the first `carried` floats of
+// rows parent_of[r] of `act` as the previous call left it, in place. With
+// parent_of non-decreasing, no row is overwritten before every copy that
+// reads it: rows whose parent lies below them are filled top-down, and
+// rows whose parent lies above them bottom-up, first. The other floats of
+// each row are left as they are.
+void CarryRows(std::span<const int> parent_of, int carried, nn::Matrix& act) {
+  const int rows = static_cast<int>(parent_of.size());
+  const int width = act.cols();
+  act.ResizeKeep(std::max(rows, act.rows()), width);
+  const size_t bytes = sizeof(float) * static_cast<size_t>(carried);
+  for (int r = 0; r < rows; ++r) {
+    if (parent_of[r] > r) std::memcpy(act.row(r), act.row(parent_of[r]), bytes);
+  }
+  for (int r = rows - 1; r >= 0; --r) {
+    if (parent_of[r] < r) std::memcpy(act.row(r), act.row(parent_of[r]), bytes);
+  }
+  act.ResizeUninitialized(rows, width);
+}
+
+}  // namespace
+
+const nn::Matrix& ResMade::ForwardHiddenEval(int col, int parent_col,
+                                             std::span<const int> parent_of,
+                                             Context& ctx) const {
   IAM_DCHECK(col >= 1 && col < num_columns());
+  nn::EvalWorkspace& ws = ctx.ws;
+  const int rows = ws.sparse_input.rows;
+  // No unit has degree 0, so parent_col == 0 carries nothing.
+  const bool carry = parent_col > 0;
+  if (carry) {
+    IAM_CHECK_MSG(ctx.carry_col == parent_col &&
+                      ctx.carry_version == ws.wt_version,
+                  "carried conditional without its parent call");
+    IAM_CHECK(static_cast<int>(parent_of.size()) == rows);
+    for (int r = 0; r < rows; ++r) {
+      IAM_CHECK(parent_of[r] >= (r == 0 ? 0 : parent_of[r - 1]) &&
+                parent_of[r] < ctx.carry_rows);
+    }
+  }
   ws.EnsureDepth(hidden_.size());
-  const auto kept_bias = [&ws](size_t layer, size_t count) {
-    return std::span<const float>(ws.bias[layer]).first(count);
-  };
-  // Layer 0 multiplies only the nonzero lanes of columns < col (one-hot
-  // hits and embedding values); every layer evaluates just its first
-  // kept[col].size() units — those of degree <= col — and fuses the ReLU
-  // into the store, so no pre-activation matrix is ever written.
-  const int out0 = static_cast<int>(plan_[0].kept[col].size());
-  nn::SparseLinearForward(ws.sparse_input, ws.wt[0], out0,
-                          kept_bias(0, out0), ws.act[0], /*fuse_relu=*/true);
-  const nn::Matrix* current = &ws.act[0];
-  for (size_t i = 1; i < hidden_.size(); ++i) {
+  // Every layer's activations are [rows, width] in degree-sorted order, of
+  // which a call fills the first kept[col].size() units — those of degree
+  // <= col. Units of degree <= parent_col are copied from the parent rows;
+  // the kernels compute only the slab of degree (parent_col, col], each
+  // unit over the same inputs in the same order as a full evaluation, with
+  // the ReLU fused into the store. Layer 0 multiplies only the nonzero
+  // lanes of columns < col (one-hot hits and embedding values).
+  for (size_t i = 0; i < hidden_.size(); ++i) {
+    nn::Matrix& act = ws.act[i];
+    const int width = hidden_[i].out_features();
+    const int carried =
+        carry ? static_cast<int>(plan_[i].kept[parent_col].size()) : 0;
+    const int slab = static_cast<int>(plan_[i].kept[col].size()) - carried;
+    if (carry) {
+      CarryRows(parent_of, carried, act);
+    } else {
+      act.ResizeUninitialized(rows, width);
+    }
+    const std::span<const float> bias =
+        std::span<const float>(ws.bias[i]).subspan(carried, slab);
+    if (i == 0) {
+      nn::SparseLinearForwardInto(ws.sparse_input, ws.wt[0], carried, slab,
+                                  bias, act, /*fuse_relu=*/true);
+      continue;
+    }
+    const nn::Matrix& prev = ws.act[i - 1];
     const nn::Matrix& wt = ws.wt[i];
-    const int out = static_cast<int>(plan_[i].kept[col].size());
-    nn::LinearForwardT(*current, plan_[i - 1].kept[col], wt.data(), wt.cols(),
-                       out, kept_bias(i, out), ws.act[i],
-                       /*fuse_relu=*/true);
+    nn::LinearForwardTInto(prev, plan_[i - 1].kept[col], wt.data() + carried,
+                           wt.cols(), slab, bias, act, carried,
+                           /*fuse_relu=*/true);
     if (residual_flags_[i]) {
       // Equal widths share degrees, hence the same order and kept prefix.
-      IAM_DCHECK(ws.act[i].size() == current->size());
-      float* a = ws.act[i].data();
-      const float* prev = current->data();
-      for (size_t k = 0; k < ws.act[i].size(); ++k) a[k] += prev[k];
+      IAM_DCHECK(prev.cols() == width);
+      for (int r = 0; r < rows; ++r) {
+        float* a = act.row(r) + carried;
+        const float* p = prev.row(r) + carried;
+        for (int k = 0; k < slab; ++k) a[k] += p[k];
+      }
     }
-    current = &ws.act[i];
   }
-  return *current;
+  ctx.carry_col = col;
+  ctx.carry_rows = rows;
+  ctx.carry_version = ws.wt_version;
+  return ws.act[hidden_.size() - 1];
 }
 
 double ResMade::TrainStep(const std::vector<std::vector<int>>& batch,
@@ -471,7 +528,9 @@ double ResMade::TrainStep(const std::vector<std::vector<int>>& batch,
   return mean_loss;
 }
 
-void ResMade::ConditionalDistributionImpl(int col, nn::Matrix& probs,
+void ResMade::ConditionalDistributionImpl(int col, int parent_col,
+                                          std::span<const int> parent_of,
+                                          nn::Matrix& probs,
                                           Context& ctx) const {
   nn::EvalWorkspace& ws = ctx.ws;
   const int dom = domains_[col];
@@ -489,13 +548,14 @@ void ResMade::ConditionalDistributionImpl(int col, nn::Matrix& probs,
     // (factorized sub-columns can have thousands of logits): the kernel runs
     // over the [off, off + dom) column window of the transposed weights and
     // reads only the last layer's kept units.
-    const nn::Matrix& hidden = ForwardHiddenEval(col, ws);
+    const nn::Matrix& hidden = ForwardHiddenEval(col, parent_col, parent_of,
+                                                 ctx);
     const nn::Matrix& wt_out = ws.wt.back();
     nn::LinearForwardT(hidden, plan_.back().kept[col], wt_out.data() + off,
                        wt_out.cols(), dom, bias, ws.output,
                        /*fuse_relu=*/false);
   }
-  nn::SoftmaxRows(ws.output, probs);
+  nn::SoftmaxRows(ws.output, probs, ws.softmax_scratch);
 }
 
 void ResMade::ConditionalDistribution(
@@ -504,15 +564,18 @@ void ResMade::ConditionalDistribution(
   IAM_CHECK(col >= 0 && col < num_columns());
   RefreshTransposedWeights(ctx.ws);
   EncodeInputSparse(inputs, col, ctx.ws.sparse_input);
-  ConditionalDistributionImpl(col, probs, ctx);
+  ConditionalDistributionImpl(col, /*parent_col=*/0, {}, probs, ctx);
 }
 
 void ResMade::ConditionalDistribution(EncodedView inputs, int col,
+                                      int parent_col,
+                                      std::span<const int> parent_of,
                                       nn::Matrix& probs, Context& ctx) const {
   IAM_CHECK(col >= 0 && col < num_columns());
+  IAM_CHECK(parent_col == 0 || (parent_col >= 1 && parent_col < col));
   RefreshTransposedWeights(ctx.ws);
   EncodeInputSparse(inputs, col, ctx.ws.sparse_input);
-  ConditionalDistributionImpl(col, probs, ctx);
+  ConditionalDistributionImpl(col, parent_col, parent_of, probs, ctx);
 }
 
 void ResMade::ConditionalDistribution(
@@ -530,7 +593,7 @@ double ResMade::LogProb(const std::vector<int>& tuple, Context& ctx) const {
   // hidden unit, and the last column's lanes feed none of them.
   const int last = num_columns() - 1;
   EncodeInputSparse({tuple}, last, ws.sparse_input);
-  const nn::Matrix& hidden = ForwardHiddenEval(last, ws);
+  const nn::Matrix& hidden = ForwardHiddenEval(last, /*parent_col=*/0, {}, ctx);
   const nn::Matrix& wt_out = ws.wt.back();
   nn::LinearForwardT(hidden, plan_.back().kept[last], wt_out.data(),
                      wt_out.cols(), output_width_, BiasSpan(output_),

@@ -6,6 +6,7 @@
 #include <istream>
 #include <memory>
 #include <ostream>
+#include <span>
 #include <vector>
 
 #include "nn/adam.h"
@@ -19,9 +20,9 @@ namespace iam::ar {
 
 // Non-owning view of a row-major encoded batch: row r is the num_columns()
 // ints starting at data + r * stride (stride >= num_columns lets callers
-// point straight into a wider pooled sample matrix without gathering into
-// vector<vector<int>> first). This is the input shape of the pooled
-// cross-query sampler's one-GEMM-per-column rounds (DESIGN.md §14).
+// point into a wider matrix without gathering into vector<vector<int>>
+// first). This is the input shape of the sampler's per-query conditionals
+// (DESIGN.md §14).
 struct EncodedView {
   const int* data = nullptr;
   int rows = 0;
@@ -68,6 +69,13 @@ class ResMade {
     nn::EvalWorkspace ws;
     // Wildcard-masked encoded batch (training only; embedding backward).
     std::vector<std::vector<int>> encoded;
+    // The carry: after an eval call for column carry_col >= 1 on carry_rows
+    // rows, ws.act holds every row's hidden units of degree <= carry_col,
+    // computed with the weights of carry_version. The next call may start
+    // from them (ConditionalDistribution's parent_col).
+    int carry_col = 0;
+    int carry_rows = 0;
+    uint64_t carry_version = 0;
   };
 
   ResMade(std::vector<int> domain_sizes, ResMadeConfig config, uint64_t seed);
@@ -102,13 +110,21 @@ class ResMade {
   // Convenience overload with a throwaway context (tests, examples).
   void ConditionalDistribution(const std::vector<std::vector<int>>& inputs,
                                int col, nn::Matrix& probs) const;
-  // Batched overload over a flat row-major view — same semantics and
-  // bit-identical per-row results (every kernel on the eval path processes
-  // batch rows independently in fixed index order), so the pooled sampler
-  // can slice one megabatch into arbitrary row ranges and still reproduce
-  // a per-query evaluation of each row exactly.
-  void ConditionalDistribution(EncodedView inputs, int col, nn::Matrix& probs,
-                               Context& ctx) const;
+  // Overload over a flat row-major view that carries hidden units from the
+  // previous call on `ctx` (DESIGN.md §10). Hidden units of degree d read
+  // only columns < d, so a row whose columns < parent_col equal those of
+  // row parent_of[r] of the previous call — which must have been made on
+  // `ctx` for column parent_col, with these weights — shares its units of
+  // degree <= parent_col. They are copied; only the units of degree in
+  // (parent_col, col] are computed. parent_of must be non-decreasing.
+  // parent_col = 0 carries nothing and evaluates every unit (parent_of is
+  // then ignored); otherwise 1 <= parent_col < col. The result is bitwise
+  // that of the full evaluation: a carried unit's sum differs from it only
+  // by exact-zero masked terms, and every kernel processes rows
+  // independently, so a row's result is the same in any batch.
+  void ConditionalDistribution(EncodedView inputs, int col, int parent_col,
+                               std::span<const int> parent_of,
+                               nn::Matrix& probs, Context& ctx) const;
 
   // log \hat P(tuple) = sum_i log \hat P(t_i | t_<i). For tests/examples.
   double LogProb(const std::vector<int>& tuple, Context& ctx) const;
@@ -149,8 +165,9 @@ class ResMade {
   // Post-encode tail of ConditionalDistribution: the degree-truncated hidden
   // stack over ctx.ws.sparse_input (which holds columns < col), `col`'s
   // logits slice, row-wise softmax into probs.
-  void ConditionalDistributionImpl(int col, nn::Matrix& probs,
-                                   Context& ctx) const;
+  void ConditionalDistributionImpl(int col, int parent_col,
+                                   std::span<const int> parent_of,
+                                   nn::Matrix& probs, Context& ctx) const;
 
   // Rebuilds the workspace's transposed-weight cache (hidden layers in the
   // degree-sorted layout, plus the output layer) when it does not match
@@ -166,10 +183,14 @@ class ResMade {
   // `ws` (pre-activations retained for the backward pass).
   void Forward(const nn::Matrix& x, nn::EvalWorkspace& ws) const;
   // Eval-path hidden stack for target column `col` >= 1 over
-  // ws.sparse_input: only the units of degree <= col, each layer's output
-  // in degree-sorted order, fused Linear+ReLU, no pre-activations. Returns
-  // the last layer's kept units (owned by `ws`).
-  const nn::Matrix& ForwardHiddenEval(int col, nn::EvalWorkspace& ws) const;
+  // ctx.ws.sparse_input: the units of degree <= parent_col carried from the
+  // previous call (see ConditionalDistribution), the units of degree
+  // (parent_col, col] computed, each layer's output in degree-sorted order,
+  // fused Linear+ReLU, no pre-activations. Returns the last layer's
+  // activations (owned by ctx.ws), of which the kept[col] units are valid.
+  const nn::Matrix& ForwardHiddenEval(int col, int parent_col,
+                                      std::span<const int> parent_of,
+                                      Context& ctx) const;
 
   std::vector<int> domains_;
   ResMadeConfig config_;

@@ -23,18 +23,6 @@ using sampling::SampleInRangeFloored;
 
 namespace {
 
-// Fixed GEMM slice granularity of the pooled sampler. A constant — never
-// derived from the thread count — so the slice partition, the pool's
-// job/index counters, and the bitwise results are all invariant to how many
-// workers execute the slices (DESIGN.md §14).
-constexpr int kSliceRows = 256;
-
-// Transient conditional-matrix budget (floats) per pooled round. EstimateBatch
-// splits a batch into query groups so unique_rows * max_domain stays around
-// 64 MB; splitting is bit-neutral because every query's estimate depends only
-// on (seed, global query index).
-constexpr size_t kPooledProbBudgetFloats = size_t{16} << 20;
-
 // Progressive-sampler and training telemetry. All of these are *semantic*
 // counters: their totals depend only on (model, queries, seed), never on the
 // thread count, because every query runs one deterministic sampling pass
@@ -65,16 +53,16 @@ struct CoreMetrics {
   }
 };
 
-// Pooled-sampler telemetry (DESIGN.md §14). These are semantic too: round
-// structure, prefix hits, GEMM sizes, and early stops are all functions of
-// (model, queries, options, seed) alone, never of the thread count, so the
-// obs determinism suite can assert them across pool sizes.
+// Sampler telemetry (DESIGN.md §14). These are semantic too: round
+// structure, prefix hits, conditional sizes, and early stops are all
+// functions of (model, queries, options, seed) alone, never of the thread
+// count, so the obs determinism suite can assert them across pool sizes.
 struct PooledMetrics {
   obs::Counter& prefix_hits;
   obs::Counter& gemm_rows;
   obs::Counter& early_stops;
-  obs::Histogram& round_rows;       // live rows per (column, round)
-  obs::Histogram& gemm_rows_hist;   // unique rows per pooled GEMM
+  obs::Histogram& round_rows;       // live rows per (query, wave, column)
+  obs::Histogram& gemm_rows_hist;   // unique rows per (query, wave, column)
   obs::Histogram& query_samples;    // samples a query actually used
 
   static PooledMetrics& Get() {
@@ -447,6 +435,7 @@ double ArDensityEstimator::Estimate(const query::Query& q) {
 void ArDensityEstimator::EnsureContexts() {
   const size_t n = static_cast<size_t>(pool().num_threads());
   if (contexts_.size() < n) contexts_.resize(n);
+  if (pooled_.workers.size() < n) pooled_.workers.resize(n);
 }
 
 ArDensityEstimator::DrawOutcome ArDensityEstimator::DrawCoordinate(
@@ -536,24 +525,9 @@ std::vector<double> ArDensityEstimator::EstimateBatchDiagnosed(
   Stopwatch batch_watch;
   util::MutexLock lock(batch_mu_);
   EnsureContexts();
-  const int sp = options_.progressive_samples;
   std::vector<double> estimates(qs.size(), 0.0);
-  // Group size caps the transient conditional matrices of one pooled round
-  // at ~kPooledProbBudgetFloats. Splitting the batch is bit-neutral (query
-  // estimates are functions of (seed, global query index) alone); it only
-  // bounds how much cross-query amortization a single round can see.
-  int max_dom = 1;
-  for (int m = 0; m < made_->num_columns(); ++m) {
-    max_dom = std::max(max_dom, made_->domain_size(m));
-  }
-  const size_t rows_cap = std::max<size_t>(
-      std::max(sp, 1), kPooledProbBudgetFloats / static_cast<size_t>(max_dom));
-  const size_t group = std::max<size_t>(1, rows_cap / std::max(sp, 1));
-  for (size_t begin = 0; begin < qs.size(); begin += group) {
-    EstimateBatchPooled(qs, begin, std::min(qs.size(), begin + group),
-                        options_.seed, /*force_active_col=*/-1, estimates,
-                        diags);
-  }
+  EstimateBatchPooled(qs, options_.seed, /*force_active_col=*/-1, estimates,
+                      diags);
   // Per-query latency under pooling is the amortized batch time: exactly
   // one Record per query.
   if (!qs.empty()) {
@@ -585,259 +559,26 @@ std::vector<double> ArDensityEstimator::EstimateBatchDiagnosed(
 }
 
 void ArDensityEstimator::EstimateBatchPooled(
-    std::span<const query::Query> qs, size_t q_begin, size_t q_end,
-    uint64_t seed, int force_active_col, std::vector<double>& estimates,
+    std::span<const query::Query> qs, uint64_t seed, int force_active_col,
+    std::vector<double>& estimates,
     std::span<estimator::QueryDiagnostics> diags) {
-  const int nq = static_cast<int>(q_end - q_begin);
+  const int nq = static_cast<int>(qs.size());
   if (nq <= 0) return;
-  const int num_model_cols = static_cast<int>(model_col_owner_.size());
-  const int sp = options_.progressive_samples;
-  CoreMetrics& metrics = CoreMetrics::Get();
-  PooledMetrics& pooled_metrics = PooledMetrics::Get();
+  CoreMetrics::Get().sampler_queries.Add(static_cast<uint64_t>(nq));
   PooledScratch& ps = pooled_;
-
-  metrics.sampler_queries.Add(static_cast<uint64_t>(nq));
   ps.queries.resize(nq);
-  // Phase 0: per-query constraints and Rngs, parallel over queries. Rngs are
-  // seeded by the *global* batch index, so splitting a batch into groups
-  // leaves every query's draw sequence unchanged.
-  pool().ParallelFor(nq, [&](size_t i, int) {
+  // Each worker samples whole queries, start to end, on its own scratch and
+  // ResMADE context. A query's estimate depends only on (model, query,
+  // seed ^ i): the batch and the thread count never reach it.
+  pool().ParallelFor(nq, [&](size_t i, int worker) {
     PooledQuery& pq = ps.queries[i];
-    pq.constraints = BuildConstraints(qs[q_begin + i], force_active_col);
-    pq.rng = Rng(seed ^ static_cast<uint64_t>(q_begin + i));
-    pq.dead = false;
-    pq.done = false;
-    pq.early_stopped = false;
-    pq.samples_done = 0;
-    pq.weight_sum = 0.0;
-    pq.weight_sq = 0.0;
-    pq.draws = 0;
-    pq.prefix_hits = 0;
-    pq.fallbacks = 0;
-    pq.fallback_column = -1;
-    pq.rounds = 0;
-    pq.early_stop_round = -1;
-    pq.ci_half_width = 0.0;
-    for (const Constraint& con : pq.constraints) {
-      if (con.impossible) pq.dead = true;
-    }
-    if (pq.dead) {
-      pq.done = true;
-      metrics.sampler_dead_queries.Add();
-    }
-  });
-
-  // Pooled sample matrix: query i's sample row s lives at flat row
-  // i * sp + s. Every value starts as its column's wildcard token (wildcard
-  // skipping — unqueried columns are never materialized), weights at 1.
-  ps.wildcard_row.resize(num_model_cols);
-  for (int m = 0; m < num_model_cols; ++m) {
-    ps.wildcard_row[m] = made_->wildcard_token(m);
-  }
-  const size_t total_rows = static_cast<size_t>(nq) * sp;
-  ps.samples.resize(total_rows * num_model_cols);
-  for (size_t r = 0; r < total_rows; ++r) {
-    std::copy(ps.wildcard_row.begin(), ps.wildcard_row.end(),
-              ps.samples.begin() + r * num_model_cols);
-  }
-  ps.weights.assign(total_rows, 1.0);
-
-  const bool adaptive = options_.adaptive_min_samples > 0;
-  // Every still-running query has completed sample rows [0, cursor): waves
-  // advance all of them in lockstep, so per-query draw order stays exactly
-  // column-major over that query's own rows — the order of a per-query
-  // sampler. With the fixed budget there is a single wave of sp rows and
-  // the engine is bit-identical to the per-query reference sampler in
-  // tests/pooled_sampler_test.cc; adaptive budgets chunk the rows (min
-  // samples, then doubling), which reorders draws across waves but remains
-  // deterministic in (seed, query index).
-  int cursor = 0;
-  while (cursor < sp) {
-    ps.wave_queries.clear();
-    for (int i = 0; i < nq; ++i) {
-      if (!ps.queries[i].done) ps.wave_queries.push_back(i);
-    }
-    if (ps.wave_queries.empty()) break;
-    const int wave =
-        adaptive
-            ? std::min(cursor == 0 ? std::min(options_.adaptive_min_samples,
-                                              sp)
-                                   : cursor,
-                       sp - cursor)
-            : sp;
-
-    for (int m = 0; m < num_model_cols; ++m) {
-      const int owner = model_col_owner_[m];
-      const int role = model_col_role_[m];
-      const TableColumn& col = columns_[owner];
-
-      // Gather this wave's live rows, query-major then row-ascending: the
-      // visit order of a per-query sampler, so each query's rng draws line
-      // up one-to-one with the reference's.
-      ps.live_rows.clear();
-      ps.draw_queries.clear();
-      ps.seg_begin.clear();
-      ps.seg_end.clear();
-      for (const int i : ps.wave_queries) {
-        if (!ps.queries[i].constraints[owner].active) continue;
-        const int begin = static_cast<int>(ps.live_rows.size());
-        const size_t base = static_cast<size_t>(i) * sp;
-        for (int s = cursor; s < cursor + wave; ++s) {
-          if (ps.weights[base + s] <= 0.0) continue;
-          ps.live_rows.push_back(static_cast<int>(base + s));
-        }
-        if (static_cast<int>(ps.live_rows.size()) == begin) continue;
-        ps.draw_queries.push_back(i);
-        ps.seg_begin.push_back(begin);
-        ps.seg_end.push_back(static_cast<int>(ps.live_rows.size()));
-      }
-      const int live = static_cast<int>(ps.live_rows.size());
-      if (live == 0) continue;
-      metrics.sampler_samples.Add(static_cast<uint64_t>(live));
-      pooled_metrics.round_rows.Record(live);
-
-      // Exact prefix sharing: rows agreeing on model columns [0, m) have
-      // bitwise-identical encoded inputs (columns >= m are still wildcard
-      // in every row), hence bitwise-identical conditionals — evaluate one
-      // representative per distinct prefix.
-      int unique = 0;
-      ps.unique_of.resize(live);
-      ps.hit_of.assign(live, 0);
-      ps.unique_data.resize(static_cast<size_t>(live) * num_model_cols);
-      ps.unique_hash.clear();
-      ps.unique_next.clear();
-      size_t buckets = 16;
-      while (buckets < static_cast<size_t>(live) * 2) buckets <<= 1;
-      ps.bucket_head.assign(buckets, -1);
-      const uint64_t mask = buckets - 1;
-      for (int g = 0; g < live; ++g) {
-        const int* row = ps.samples.data() +
-                         static_cast<size_t>(ps.live_rows[g]) * num_model_cols;
-        uint64_t h = 1469598103934665603ull;  // FNV-1a over the prefix
-        for (int c = 0; c < m; ++c) {
-          h ^= static_cast<uint32_t>(row[c]);
-          h *= 1099511628211ull;
-        }
-        int uid = ps.bucket_head[h & mask];
-        while (uid >= 0) {
-          if (ps.unique_hash[uid] == h &&
-              std::equal(row, row + m,
-                         ps.unique_data.begin() +
-                             static_cast<size_t>(uid) * num_model_cols)) {
-            break;
-          }
-          uid = ps.unique_next[uid];
-        }
-        if (uid < 0) {
-          uid = unique++;
-          std::copy(row, row + num_model_cols,
-                    ps.unique_data.begin() +
-                        static_cast<size_t>(uid) * num_model_cols);
-          ps.unique_hash.push_back(h);
-          ps.unique_next.push_back(ps.bucket_head[h & mask]);
-          ps.bucket_head[h & mask] = uid;
-        } else {
-          ps.hit_of[g] = 1;  // shared an already-seen prefix
-        }
-        ps.unique_of[g] = uid;
-      }
-      pooled_metrics.prefix_hits.Add(static_cast<uint64_t>(live - unique));
-
-      // One pooled GEMM per column per round, cut into kSliceRows slices:
-      // per-row kernel results are bitwise invariant to the slicing, and the
-      // fixed granularity keeps the pool's job/index counters semantic.
-      const int num_slices = (unique + kSliceRows - 1) / kSliceRows;
-      if (static_cast<int>(ps.slice_probs.size()) < num_slices) {
-        ps.slice_probs.resize(num_slices);
-      }
-      pooled_metrics.gemm_rows.Add(static_cast<uint64_t>(unique));
-      pooled_metrics.gemm_rows_hist.Record(unique);
-      pool().ParallelFor(num_slices, [&](size_t si, int worker) {
-        const int r0 = static_cast<int>(si) * kSliceRows;
-        const ar::EncodedView view{
-            ps.unique_data.data() + static_cast<size_t>(r0) * num_model_cols,
-            std::min(kSliceRows, unique - r0), num_model_cols};
-        made_->ConditionalDistribution(view, m, ps.slice_probs[si],
-                                       contexts_[worker]);
-      });
-
-      // Draws: parallel across queries, sequential within a query (it owns
-      // its rng stream), rows ascending — the per-query order again.
-      pool().ParallelFor(ps.draw_queries.size(), [&](size_t di, int) {
-        const int i = ps.draw_queries[di];
-        PooledQuery& pq = ps.queries[i];
-        const Constraint& con = pq.constraints[owner];
-        // Per-query diagnostics: the segment [seg_begin, seg_end) is this
-        // query's exact share of the wave's `live` rows, so summing segment
-        // lengths over every (wave, column) step reproduces the process-wide
-        // iam_sampler_samples_total contribution of this query.
-        pq.draws += static_cast<uint64_t>(ps.seg_end[di] - ps.seg_begin[di]);
-        for (int g = ps.seg_begin[di]; g < ps.seg_end[di]; ++g) {
-          const int row = ps.live_rows[g];
-          const int uid = ps.unique_of[g];
-          pq.prefix_hits += ps.hit_of[g];
-          const float* prow =
-              ps.slice_probs[uid / kSliceRows].row(uid % kSliceRows);
-          int* srow =
-              ps.samples.data() + static_cast<size_t>(row) * num_model_cols;
-          const int high = role == 1 ? srow[m - 1] : 0;
-          const DrawOutcome draw =
-              DrawCoordinate(col, con, role, high, prow, pq.rng);
-          if (draw.sampled < 0 || draw.mass <= 0.0) {
-            ps.weights[row] = 0.0;
-            pq.fallbacks += 1;
-            pq.fallback_column = owner;
-            if (owner < static_cast<int>(fallback_counters_.size())) {
-              fallback_counters_[owner]->Add();
-            }
-            continue;
-          }
-          ps.weights[row] *= draw.mass;
-          srow[m] = draw.sampled;
-        }
-      });
-    }
-
-    // Wave end: fold the finished rows into each query's running estimate
-    // (ascending row order, as a per-query sum would) and, under
-    // adaptive budgets, stop queries whose confidence interval converged.
-    cursor += wave;
-    for (const int i : ps.wave_queries) {
-      PooledQuery& pq = ps.queries[i];
-      const size_t base = static_cast<size_t>(i) * sp;
-      for (int s = cursor - wave; s < cursor; ++s) {
-        const double w = ps.weights[base + s];
-        pq.weight_sum += w;
-        pq.weight_sq += w * w;
-      }
-      pq.samples_done = cursor;
-      pq.rounds += 1;
-      if (cursor >= sp) {
-        pq.done = true;
-        continue;
-      }
-      if (adaptive && pq.samples_done >= 2) {
-        const double n = pq.samples_done;
-        const double mean = pq.weight_sum / n;
-        const double var =
-            std::max((pq.weight_sq - n * mean * mean) / (n - 1.0), 0.0);
-        const double half = options_.adaptive_ci_z * std::sqrt(var / n);
-        pq.ci_half_width = half;
-        if (half <=
-            options_.adaptive_ci_rel * mean + options_.adaptive_ci_abs) {
-          pq.done = true;
-          pq.early_stopped = true;
-          pq.early_stop_round = pq.rounds;
-          pooled_metrics.early_stops.Add();
-        }
-      }
-    }
-  }
-
-  for (int i = 0; i < nq; ++i) {
-    const PooledQuery& pq = ps.queries[i];
+    pq = PooledQuery{};
+    pq.constraints = BuildConstraints(qs[i], force_active_col);
+    pq.rng = Rng(seed ^ static_cast<uint64_t>(i));
+    pq.worker = worker;
+    SampleQuery(pq, ps.workers[worker], contexts_[worker]);
     if (!diags.empty()) {
-      estimator::QueryDiagnostics& d = diags[q_begin + i];
+      estimator::QueryDiagnostics& d = diags[i];
       d = estimator::QueryDiagnostics{};
       d.sampler_draws = pq.draws;
       d.sample_rows = pq.samples_done;
@@ -849,11 +590,182 @@ void ArDensityEstimator::EstimateBatchPooled(
       d.dead = pq.dead;
       d.ci_half_width = pq.ci_half_width;
     }
-    if (pq.dead || pq.samples_done <= 0) continue;  // estimate stays 0
-    estimates[q_begin + i] =
-        Clamp(pq.weight_sum / pq.samples_done, 0.0, 1.0);
-    pooled_metrics.query_samples.Record(pq.samples_done);
+    if (pq.dead || pq.samples_done <= 0) return;  // estimate stays 0
+    estimates[i] = Clamp(pq.weight_sum / pq.samples_done, 0.0, 1.0);
+    PooledMetrics::Get().query_samples.Record(pq.samples_done);
+  });
+}
+
+void ArDensityEstimator::SampleQuery(PooledQuery& pq, SamplerScratch& sc,
+                                     ar::ResMade::Context& ctx) const {
+  CoreMetrics& metrics = CoreMetrics::Get();
+  PooledMetrics& pooled_metrics = PooledMetrics::Get();
+  for (const Constraint& con : pq.constraints) {
+    if (con.impossible) pq.dead = true;
   }
+  if (pq.dead) {
+    metrics.sampler_dead_queries.Add();
+    return;
+  }
+  const int num_model_cols = static_cast<int>(model_col_owner_.size());
+  const int sp = options_.progressive_samples;
+  if (sp <= 0) return;  // no rows: the estimate stays 0
+  // Every value starts as its column's wildcard token (wildcard skipping —
+  // unqueried columns are never materialized), every weight at 1.
+  sc.samples.resize(static_cast<size_t>(sp) * num_model_cols);
+  int* const first = sc.samples.data();
+  for (int m = 0; m < num_model_cols; ++m) first[m] = made_->wildcard_token(m);
+  for (int s = 1; s < sp; ++s) {
+    std::copy(first, first + num_model_cols,
+              first + static_cast<size_t>(s) * num_model_cols);
+  }
+  sc.weights.assign(sp, 1.0);
+  sc.row_uid.assign(sp, 0);
+
+  // Sample rows [0, cursor) are finished. With the fixed budget there is one
+  // wave of sp rows, drawn column by column, live rows ascending: the order
+  // of the per-query reference sampler in tests/pooled_sampler_test.cc,
+  // which the engine matches bitwise. Adaptive budgets chunk the rows (min
+  // samples, then doubling), which reorders the draws but stays
+  // deterministic in (seed, query index).
+  const bool adaptive = options_.adaptive_min_samples > 0;
+  int cursor = 0;
+  while (cursor < sp) {
+    const int wave =
+        adaptive
+            ? std::min(cursor == 0 ? std::min(options_.adaptive_min_samples,
+                                              sp)
+                                   : cursor,
+                       sp - cursor)
+            : sp;
+    int parent_col = -1;  // the wave's last sampled column
+    int parents = 1;      // its unique rows
+    for (int m = 0; m < num_model_cols; ++m) {
+      const int owner = model_col_owner_[m];
+      const int role = model_col_role_[m];
+      const TableColumn& col = columns_[owner];
+      const Constraint& con = pq.constraints[owner];
+      if (!con.active) continue;
+
+      sc.live.clear();
+      for (int s = cursor; s < cursor + wave; ++s) {
+        if (sc.weights[s] > 0.0) sc.live.push_back(s);
+      }
+      const int live = static_cast<int>(sc.live.size());
+      if (live == 0) break;  // every row of the wave fell back
+      pq.draws += static_cast<uint64_t>(live);
+      pooled_metrics.round_rows.Record(live);
+
+      // Exact prefix sharing: rows agreeing on model columns [0, m) have
+      // bitwise-identical encoded inputs (columns >= m are still wildcard),
+      // hence bitwise-identical conditionals — evaluate one row per
+      // distinct prefix, carrying the hidden units its parent prefix
+      // already computed at parent_col.
+      const int unique = DedupPrefixes(parent_col, parents, sc);
+      pq.prefix_hits += live - unique;
+      pq.gemm_rows += static_cast<uint64_t>(unique);
+      pooled_metrics.gemm_rows_hist.Record(unique);
+      const ar::EncodedView view{sc.unique_rows.data(), unique,
+                                 num_model_cols};
+      made_->ConditionalDistribution(view, m, std::max(parent_col, 0),
+                                     sc.parent_of, sc.probs, ctx);
+      parent_col = m;
+      parents = unique;
+
+      for (const int s : sc.live) {
+        const float* prow = sc.probs.row(sc.row_uid[s]);
+        int* srow = sc.samples.data() + static_cast<size_t>(s) * num_model_cols;
+        const int high = role == 1 ? srow[m - 1] : 0;
+        const DrawOutcome draw =
+            DrawCoordinate(col, con, role, high, prow, pq.rng);
+        if (draw.sampled < 0 || draw.mass <= 0.0) {
+          sc.weights[s] = 0.0;
+          pq.fallbacks += 1;
+          pq.fallback_column = owner;
+          if (owner < static_cast<int>(fallback_counters_.size())) {
+            fallback_counters_[owner]->Add();
+          }
+          continue;
+        }
+        sc.weights[s] *= draw.mass;
+        srow[m] = draw.sampled;
+      }
+    }
+
+    // Wave end: fold the finished rows into the running estimate (ascending
+    // row order, as a per-query sum would) and, under adaptive budgets,
+    // stop once the confidence interval converged.
+    for (int s = cursor; s < cursor + wave; ++s) {
+      const double w = sc.weights[s];
+      pq.weight_sum += w;
+      pq.weight_sq += w * w;
+    }
+    cursor += wave;
+    pq.samples_done = cursor;
+    pq.rounds += 1;
+    if (cursor >= sp || !adaptive || pq.samples_done < 2) continue;
+    const double n = pq.samples_done;
+    const double mean = pq.weight_sum / n;
+    const double var =
+        std::max((pq.weight_sq - n * mean * mean) / (n - 1.0), 0.0);
+    const double half = options_.adaptive_ci_z * std::sqrt(var / n);
+    pq.ci_half_width = half;
+    if (half <= options_.adaptive_ci_rel * mean + options_.adaptive_ci_abs) {
+      pq.early_stop_round = pq.rounds;
+      pooled_metrics.early_stops.Add();
+      break;
+    }
+  }
+  metrics.sampler_samples.Add(pq.draws);
+  pooled_metrics.prefix_hits.Add(static_cast<uint64_t>(pq.prefix_hits));
+  pooled_metrics.gemm_rows.Add(pq.gemm_rows);
+}
+
+int ArDensityEstimator::DedupPrefixes(int p, int parents,
+                                      SamplerScratch& sc) const {
+  const int num_model_cols = static_cast<int>(model_col_owner_.size());
+  // Before the wave's first sampled column every row is all wildcards: one
+  // prefix, one parent, and the value at "p" reads as 0.
+  const auto value_at_p = [&](int s) {
+    return p < 0 ? 0
+                 : sc.samples[static_cast<size_t>(s) * num_model_cols + p];
+  };
+  // Live rows grouped by parent (a counting sort on row_uid, which every
+  // row of a new wave starts at 0), each group in ascending row order. The
+  // grouping fill cursors borrow parent_of, which is rebuilt below.
+  sc.group_begin.assign(parents + 1, 0);
+  for (const int s : sc.live) ++sc.group_begin[sc.row_uid[s] + 1];
+  for (int u = 0; u < parents; ++u) sc.group_begin[u + 1] += sc.group_begin[u];
+  sc.by_parent.resize(sc.live.size());
+  std::vector<int>& fill = sc.parent_of;
+  fill.assign(sc.group_begin.begin(), sc.group_begin.end() - 1);
+  for (const int s : sc.live) sc.by_parent[fill[sc.row_uid[s]]++] = s;
+  const size_t values =
+      p < 0 ? 1 : static_cast<size_t>(made_->domain_size(p));
+  if (sc.value_stamp.size() < values) {
+    sc.value_stamp.resize(values, 0);
+    sc.value_uid.resize(values);
+  }
+  sc.parent_of.clear();
+  sc.unique_rows.clear();
+  int unique = 0;
+  for (int u = 0; u < parents; ++u) {
+    ++sc.stamp;
+    for (int g = sc.group_begin[u]; g < sc.group_begin[u + 1]; ++g) {
+      const int s = sc.by_parent[g];
+      const int v = value_at_p(s);
+      if (sc.value_stamp[v] != sc.stamp) {
+        sc.value_stamp[v] = sc.stamp;
+        sc.value_uid[v] = unique++;
+        sc.parent_of.push_back(u);
+        const int* row =
+            sc.samples.data() + static_cast<size_t>(s) * num_model_cols;
+        sc.unique_rows.insert(sc.unique_rows.end(), row, row + num_model_cols);
+      }
+      sc.row_uid[s] = sc.value_uid[v];
+    }
+  }
+  return unique;
 }
 
 void ArDensityEstimator::set_adaptive_min_samples(int adaptive_min_samples) {
@@ -928,9 +840,10 @@ ArDensityEstimator::AggregateResult ArDensityEstimator::EstimateAggregate(
   util::MutexLock lock(batch_mu_);
   EnsureContexts();
   std::vector<double> selectivity(1, 0.0);
-  EstimateBatchPooled({&q, 1}, 0, 1, options_.seed ^ 0xa99f00dULL, target_col,
+  EstimateBatchPooled({&q, 1}, options_.seed ^ 0xa99f00dULL, target_col,
                       selectivity, {});
   const PooledQuery& pq = pooled_.queries[0];
+  const SamplerScratch& sc = pooled_.workers[pq.worker];
   const int n = pq.samples_done;
   if (pq.dead || n <= 0) return result;
 
@@ -942,10 +855,9 @@ ArDensityEstimator::AggregateResult ArDensityEstimator::EstimateAggregate(
   double weight_sum = 0.0;
   double weighted_value_sum = 0.0;
   for (int s = 0; s < n; ++s) {
-    const double w = pooled_.weights[s];
+    const double w = sc.weights[s];
     if (w <= 0.0) continue;
-    const int* row =
-        pooled_.samples.data() + static_cast<size_t>(s) * num_model_cols;
+    const int* row = sc.samples.data() + static_cast<size_t>(s) * num_model_cols;
     double value = 0.0;
     switch (col.kind) {
       case TableColumn::Kind::kRaw:

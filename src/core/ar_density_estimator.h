@@ -75,11 +75,11 @@ struct ArEstimatorOptions {
   int progressive_samples = 256;
   // Worker threads for EstimateBatch and for build-time reducer fitting.
   // Estimates are bit-identical at any thread count: every query gets its own
-  // deterministic Rng (seed ^ query index) and owns its draw stream inside
-  // the pooled sampler's megabatch (DESIGN.md §14).
+  // deterministic Rng (seed ^ query index) and is sampled start to end by
+  // one worker (DESIGN.md §14).
   int num_threads = 1;
 
-  // > 0 enables adaptive budgets in the pooled sampler: every query starts
+  // > 0 enables adaptive budgets in the sampler: every query starts
   // with this many sample rows, the budget doubles each round, and sampling
   // stops early once the running estimate's confidence interval converges
   // (or progressive_samples is reached). Deterministic per options.seed and
@@ -139,7 +139,7 @@ class ArDensityEstimator : public estimator::Estimator {
 
   // Approximate aggregation (the paper's future-work extension): estimates
   // SELECT COUNT(*), SUM(target), AVG(target) FROM T WHERE q, running the
-  // same pooled sampler as EstimateBatch on a one-query batch with the
+  // same sampler as EstimateBatch on a one-query batch with the
   // target column always materialized (Rng seed options.seed ^ 0xa99f00d).
   // For a GMM-reduced target the per-sample value is the truncated component
   // mean. `table_rows` scales COUNT/SUM back to absolute units. Under
@@ -248,14 +248,15 @@ class ArDensityEstimator : public estimator::Estimator {
   // BuildConstraints and CorrectorRegionKey.
   std::vector<Interval> MergePredicates(const query::Query& q) const;
 
-  // Grows the per-worker AR evaluation contexts to the pool size.
+  // Grows the per-worker AR evaluation contexts and sampler scratch to the
+  // pool size.
   void EnsureContexts() IAM_REQUIRES(batch_mu_);
 
   // One draw of a query's next coordinate for the model column owned by
   // `col` (`role` = sub-column role, `high` = the already-sampled high
   // sub-column value, used only for factorized low columns). Also called by
   // the per-query reference sampler in tests/pooled_sampler_test.cc, which
-  // the pooled engine must match bitwise. sampled < 0 or mass <= 0 means the
+  // the engine must match bitwise. sampled < 0 or mass <= 0 means the
   // row hit the zero-mass wildcard fallback.
   struct DrawOutcome {
     int sampled = -1;
@@ -265,64 +266,71 @@ class ArDensityEstimator : public estimator::Estimator {
                              int role, int high, const float* prow,
                              Rng& rng) const;
 
-  // One in-flight query's pooled-sampler state (DESIGN.md §14).
+  // One query's sampler state and diagnostics (DESIGN.md §14, §17). The
+  // worker that samples the query owns it, so none of it needs
+  // synchronization, and every field but `worker` is a function of (model,
+  // query, seed) alone — never of the batch or the thread count.
   struct PooledQuery {
     std::vector<Constraint> constraints;
     Rng rng{0};
+    int worker = 0;             // whose SamplerScratch holds the rows
     bool dead = false;
-    bool done = false;          // no further sampling rounds needed
-    bool early_stopped = false;
     int samples_done = 0;       // rows finished in completed waves
     double weight_sum = 0.0;
     double weight_sq = 0.0;
-    // Diagnostics, accumulated per query (each draw ParallelFor iteration
-    // owns one query, so these need no synchronization and their totals are
-    // thread-count invariant). See DESIGN.md §17.
     uint64_t draws = 0;         // rows drawn across all (wave, column) steps
-    int prefix_hits = 0;        // rows served from a shared prefix
+    uint64_t gemm_rows = 0;     // conditional rows evaluated
+    int prefix_hits = 0;        // rows that shared an earlier row's prefix
     int fallbacks = 0;          // zero-mass wildcard fallbacks
     int fallback_column = -1;   // table column of the last fallback
     int rounds = 0;             // waves executed for this query
     int early_stop_round = -1;  // wave the CI test stopped it at
     double ci_half_width = 0.0;  // last computed CI half-width
   };
-  // Buffers of the pooled cross-query sampler, cached across batches so a
-  // solo Estimate() or EstimateAggregate() allocates nothing in steady
-  // state. All row-major, flat:
-  //   samples  [group_rows, M]  pooled sample matrix (M = model columns)
-  //   weights  [group_rows]     running per-row likelihood weights
+  // One pool worker's sampler buffers, reused query after query. Row s of
+  // the query being sampled is samples[s * M, (s + 1) * M) (M = model
+  // columns); after the batch they hold the worker's last query.
+  struct SamplerScratch {
+    std::vector<int> samples;      // [sp, M] sampled values, wildcards first
+    std::vector<double> weights;   // [sp] running likelihood weights
+    std::vector<int> live;         // the column's live rows, ascending
+    std::vector<int> row_uid;      // per row: its prefix's unique row
+    std::vector<int> group_begin;  // live rows grouped by parent unique row
+    std::vector<int> by_parent;
+    std::vector<int> parent_of;    // per unique row: the parent's unique row
+    std::vector<int> unique_rows;  // [U, M] one row per distinct prefix
+    std::vector<uint64_t> value_stamp;  // dedup of a parent's child values
+    std::vector<int> value_uid;
+    uint64_t stamp = 0;
+    nn::Matrix probs;              // [U, D] the column's conditionals
+  };
   struct PooledScratch {
     std::vector<PooledQuery> queries;
-    std::vector<int> samples;
-    std::vector<double> weights;
-    std::vector<int> wildcard_row;   // per-model-column wildcard tokens
-    std::vector<int> wave_queries;   // queries still sampling this wave
-    std::vector<int> live_rows;      // rows gathered for the current column
-    std::vector<int> draw_queries;   // queries with a non-empty segment
-    std::vector<int> seg_begin;      // per draw-query range into live_rows
-    std::vector<int> seg_end;
-    std::vector<int> unique_of;      // live index -> unique row id
-    std::vector<uint8_t> hit_of;     // live index -> 1 if prefix was shared
-    std::vector<int> unique_data;    // [U, M] compacted unique rows (GEMM in)
-    std::vector<uint64_t> unique_hash;
-    std::vector<int> unique_next;    // dedup hash chains
-    std::vector<int> bucket_head;
-    std::vector<nn::Matrix> slice_probs;  // per-GEMM-slice conditionals
+    std::vector<SamplerScratch> workers;
   };
-  // The progressive-sampling engine (DESIGN.md §14): column-major rounds
-  // over one megabatch, prefix-shared conditionals, optional adaptive
-  // budgets. Processes queries [q_begin, q_end) of qs into estimates (the
-  // caller splits the batch into groups bounding the transient
-  // probability-matrix memory). Query i draws from Rng(seed ^ i), i its
-  // index in the full batch; force_active_col is passed to BuildConstraints.
-  // `diags` is empty or one entry per query of the *full* batch, filled for
-  // [q_begin, q_end). On return pooled_ holds each query's sample rows and
-  // weights (rows [0, samples_done) of query i start at flat row i * sp).
-  void EstimateBatchPooled(std::span<const query::Query> qs, size_t q_begin,
-                           size_t q_end, uint64_t seed, int force_active_col,
+  // The progressive-sampling engine (DESIGN.md §14): one ParallelFor over
+  // the queries, each worker running whole queries — every wave, column by
+  // column, with per-query prefix dedup and carried ResMADE activations —
+  // plus optional adaptive budgets. Query i draws from Rng(seed ^ i);
+  // force_active_col is passed to BuildConstraints. `diags` is empty or one
+  // entry per query. On return pooled_.queries[i] holds query i's state,
+  // and pooled_.workers[queries[i].worker] its rows if it was the last
+  // query that worker sampled.
+  void EstimateBatchPooled(std::span<const query::Query> qs, uint64_t seed,
+                           int force_active_col,
                            std::vector<double>& estimates,
                            std::span<estimator::QueryDiagnostics> diags)
       IAM_REQUIRES(batch_mu_);
+  // Runs every wave of one query on one worker's scratch and context.
+  void SampleQuery(PooledQuery& pq, SamplerScratch& sc,
+                   ar::ResMade::Context& ctx) const;
+  // Collapses sc.live to the distinct prefixes below the column about to
+  // be sampled. With parent column p (the wave's last sampled column, or
+  // -1 before the first) and its `parents` unique rows, two rows share a
+  // prefix iff they share p's prefix (row_uid) and p's value. Fills
+  // row_uid with the new ids, unique_rows and parent_of (numbered grouped
+  // by parent, as the carry needs) and returns the number of unique rows.
+  int DedupPrefixes(int p, int parents, SamplerScratch& sc) const;
 
   ArDensityEstimator() : rng_(0) {}  // for Load()
 
@@ -371,7 +379,7 @@ class ArDensityEstimator : public estimator::Estimator {
   // batch_mu_, so two external callers never share a slot even though the
   // pool hands out the same worker ids to both.
   std::vector<ar::ResMade::Context> contexts_ IAM_GUARDED_BY(batch_mu_);
-  // Pooled-sampler buffers, reused across batches (same guard as contexts_).
+  // Sampler buffers, reused across batches (same guard as contexts_).
   PooledScratch pooled_ IAM_GUARDED_BY(batch_mu_);
   // Post-estimate corrector; null when correction is off.
   std::shared_ptr<const estimator::SelectivityCorrector> corrector_

@@ -39,6 +39,8 @@ struct EvalWorkspace {
 
   // Per-layer transpose buffer of the training forward (nn::LinearForward).
   Matrix wt_scratch;
+  // Row buffer of nn::SoftmaxRows.
+  std::vector<double> softmax_scratch;
 
   // Ensures one pre/post activation slot per layer.
   void EnsureDepth(size_t num_layers) {

@@ -12,7 +12,7 @@
 // each other. All arms give bit-identical results (DESIGN.md §10).
 namespace iam::nn::internal {
 
-// One arm: the five hot public kernels, compiled for one instruction set.
+// One arm: the seven hot public kernels, compiled for one instruction set.
 // Each entry has exactly the public function's signature and semantics.
 struct KernelArm {
   const char* isa;  // "avx512", "avx2" or "sse" (the portable arm)
@@ -21,6 +21,8 @@ struct KernelArm {
   decltype(&LinearForwardT) linear_forward_t;
   decltype(&SparseLinearForward) sparse_linear_forward;
   decltype(&LinearBackward) linear_backward;
+  decltype(&LinearForwardTInto) linear_forward_t_into;
+  decltype(&SparseLinearForwardInto) sparse_linear_forward_into;
 };
 
 // The arm named `isa`, or nullptr when this build has no such arm or the

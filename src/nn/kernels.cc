@@ -139,16 +139,16 @@ inline void KeptStrip(const float* IAM_RESTRICT xp, const int* kept, int nk,
   }
 }
 
-// One packed row block across all outputs: strips of two kLanes vectors,
-// the remainder (fewer than 2 * kLanes outputs) as one strip of one or two
-// whole vectors, then the ReLU over the block's rows while they are still
-// in L1.
+// One packed row block across all outputs, written to columns
+// [y_col, y_col + out) of y: strips of two kLanes vectors, the remainder
+// (fewer than 2 * kLanes outputs) as one strip of one or two whole vectors,
+// then the ReLU over the block's rows while they are still in L1.
 template <int kRows, int kLanes>
 void KeptRowBlock(const float* xp, std::span<const int> kept, const float* wt,
                   size_t ldw, int out, const float* bias, bool relu,
-                  Matrix& y, int b0) {
+                  Matrix& y, int b0, int y_col) {
   float* yr[kRows];
-  for (int r = 0; r < kRows; ++r) yr[r] = y.row(b0 + r);
+  for (int r = 0; r < kRows; ++r) yr[r] = y.row(b0 + r) + y_col;
   const int nk = static_cast<int>(kept.size());
   int o = 0;
   for (; o + 2 * kLanes <= out; o += 2 * kLanes) {
@@ -171,15 +171,16 @@ void KeptRowBlock(const float* xp, std::span<const int> kept, const float* wt,
   }
 }
 
+// Writes columns [y_col, y_col + out) of y, which the caller has shaped.
 template <int kLanes>
 void ForwardT(const Matrix& x, std::span<const int> kept, const float* wt,
               int ldw, int out, std::span<const float> bias, Matrix& y,
-              bool fuse_relu) {
+              int y_col, bool fuse_relu) {
   const int batch = x.rows();
   IAM_CHECK(out >= 0 && ldw >= out);
   IAM_CHECK(bias.empty() || static_cast<int>(bias.size()) == out);
+  IAM_CHECK(y.rows() == batch && y_col >= 0 && y_col + out <= y.cols());
   for (const int i : kept) IAM_CHECK(i >= 0 && i < x.cols());
-  y.ResizeUninitialized(batch, out);
   const float* bias_ptr = bias.empty() ? nullptr : bias.data();
   const size_t stride = static_cast<size_t>(ldw);
 
@@ -189,27 +190,29 @@ void ForwardT(const Matrix& x, std::span<const int> kept, const float* wt,
   for (; b + 4 <= batch; b += 4) {
     PackRows<4>(x, b, kept, xp.data());
     KeptRowBlock<4, kLanes>(xp.data(), kept, wt, stride, out, bias_ptr,
-                            fuse_relu, y, b);
+                            fuse_relu, y, b, y_col);
   }
   for (; b < batch; ++b) {
     PackRows<1>(x, b, kept, xp.data());
     KeptRowBlock<1, kLanes>(xp.data(), kept, wt, stride, out, bias_ptr,
-                            fuse_relu, y, b);
+                            fuse_relu, y, b, y_col);
   }
 }
 
 // A sparse row is a one-row block whose packed inputs are its nonzero
 // values and whose kept list is its lanes: the same strips, the same
-// per-lane order (bias, then the nonzeros in increasing lane order).
+// per-lane order (bias, then the nonzeros in increasing lane order). Writes
+// columns [col0, col0 + out) of wt's product into the same columns of y,
+// which the caller has shaped.
 template <int kLanes>
-void SparseForward(const SparseRows& x, const Matrix& wt, int out,
+void SparseForward(const SparseRows& x, const Matrix& wt, int col0, int out,
                    std::span<const float> bias, Matrix& y, bool fuse_relu) {
   const int in = wt.rows();
   IAM_CHECK(x.cols == in);
-  IAM_CHECK(out >= 0 && out <= wt.cols());
+  IAM_CHECK(col0 >= 0 && out >= 0 && col0 + out <= wt.cols());
   IAM_CHECK(static_cast<int>(x.row_begin.size()) == x.rows + 1);
   IAM_CHECK(bias.empty() || static_cast<int>(bias.size()) == out);
-  y.ResizeUninitialized(x.rows, out);
+  IAM_CHECK(y.rows() == x.rows && col0 + out <= y.cols());
   const float* bias_ptr = bias.empty() ? nullptr : bias.data();
   const std::span<const int> lanes(x.index);
 
@@ -218,9 +221,9 @@ void SparseForward(const SparseRows& x, const Matrix& wt, int out,
     const int nnz = x.row_begin[r + 1] - begin;
     const std::span<const int> kept = lanes.subspan(begin, nnz);
     for (const int lane : kept) IAM_CHECK(lane >= 0 && lane < in);
-    KeptRowBlock<1, kLanes>(x.value.data() + begin, kept, wt.data(),
+    KeptRowBlock<1, kLanes>(x.value.data() + begin, kept, wt.data() + col0,
                             static_cast<size_t>(wt.cols()), out, bias_ptr,
-                            fuse_relu, y, r);
+                            fuse_relu, y, r, col0);
   }
 }
 
@@ -291,8 +294,9 @@ void DenseForward(const Matrix& x, const Matrix& w,
     TransposeInto(w, wt_scratch);
     std::vector<int> all(static_cast<size_t>(x.cols()));
     for (int i = 0; i < x.cols(); ++i) all[i] = i;
+    y.ResizeUninitialized(x.rows(), w.rows());
     ForwardT<kLanes>(x, all, wt_scratch.data(), wt_scratch.cols(), w.rows(),
-                     bias, y, kRelu);
+                     bias, y, /*y_col=*/0, kRelu);
   } else {
     ForwardSmall<kRelu>(x, w, bias.empty() ? nullptr : bias.data(), y);
   }
@@ -381,7 +385,7 @@ void Backward(const Matrix& x, const Matrix& w, const Matrix& dy, Matrix& dx,
 // --- The arms. ------------------------------------------------------------
 //
 // An arm instantiates the templates above at `lanes` floats per vector
-// inside five entry points that carry the attributes given after the lane
+// inside seven entry points that carry the attributes given after the lane
 // count. gnu::flatten inlines every helper into its entry point, so all of
 // an arm's code is compiled for the arm's instruction set and nothing
 // ISA-specific exists outside a function with a target attribute; no
@@ -403,12 +407,25 @@ void Backward(const Matrix& x, const Matrix& w, const Matrix& dy, Matrix& dx,
   __VA_ARGS__ void arm##LinearForwardT(                                       \
       const Matrix& x, std::span<const int> kept, const float* wt, int ldw,   \
       int out, std::span<const float> bias, Matrix& y, bool fuse_relu) {      \
-    ForwardT<lanes>(x, kept, wt, ldw, out, bias, y, fuse_relu);               \
+    y.ResizeUninitialized(x.rows(), out);                                     \
+    ForwardT<lanes>(x, kept, wt, ldw, out, bias, y, 0, fuse_relu);            \
+  }                                                                           \
+  __VA_ARGS__ void arm##LinearForwardTInto(                                   \
+      const Matrix& x, std::span<const int> kept, const float* wt, int ldw,   \
+      int out, std::span<const float> bias, Matrix& y, int y_col,             \
+      bool fuse_relu) {                                                       \
+    ForwardT<lanes>(x, kept, wt, ldw, out, bias, y, y_col, fuse_relu);        \
   }                                                                           \
   __VA_ARGS__ void arm##SparseLinearForward(                                  \
       const SparseRows& x, const Matrix& wt, int out,                         \
       std::span<const float> bias, Matrix& y, bool fuse_relu) {               \
-    SparseForward<lanes>(x, wt, out, bias, y, fuse_relu);                     \
+    y.ResizeUninitialized(x.rows, out);                                       \
+    SparseForward<lanes>(x, wt, 0, out, bias, y, fuse_relu);                  \
+  }                                                                           \
+  __VA_ARGS__ void arm##SparseLinearForwardInto(                              \
+      const SparseRows& x, const Matrix& wt, int col0, int out,               \
+      std::span<const float> bias, Matrix& y, bool fuse_relu) {               \
+    SparseForward<lanes>(x, wt, col0, out, bias, y, fuse_relu);               \
   }                                                                           \
   __VA_ARGS__ void arm##LinearBackward(const Matrix& x, const Matrix& w,      \
                                        const Matrix& dy, Matrix& dx,          \
@@ -418,7 +435,8 @@ void Backward(const Matrix& x, const Matrix& w, const Matrix& dy, Matrix& dx,
   constexpr internal::KernelArm arm = {                                       \
       isa_name,                  &arm##LinearForward,                         \
       &arm##LinearReluForward,   &arm##LinearForwardT,                        \
-      &arm##SparseLinearForward, &arm##LinearBackward};
+      &arm##SparseLinearForward, &arm##LinearBackward,                        \
+      &arm##LinearForwardTInto,  &arm##SparseLinearForwardInto};
 
 #if defined(__x86_64__) || defined(__i386__)
 // 4 rows × 2 × 16 = 128 accumulator lanes in 8 of the 32 zmm registers.
@@ -496,10 +514,25 @@ void LinearForwardT(const Matrix& x, std::span<const int> kept,
                                          fuse_relu);
 }
 
+void LinearForwardTInto(const Matrix& x, std::span<const int> kept,
+                        const float* wt, int ldw, int out,
+                        std::span<const float> bias, Matrix& y, int y_col,
+                        bool fuse_relu) {
+  internal::ChosenArm().linear_forward_t_into(x, kept, wt, ldw, out, bias, y,
+                                              y_col, fuse_relu);
+}
+
 void SparseLinearForward(const SparseRows& x, const Matrix& wt, int out,
                          std::span<const float> bias, Matrix& y,
                          bool fuse_relu) {
   internal::ChosenArm().sparse_linear_forward(x, wt, out, bias, y, fuse_relu);
+}
+
+void SparseLinearForwardInto(const SparseRows& x, const Matrix& wt, int col0,
+                             int out, std::span<const float> bias, Matrix& y,
+                             bool fuse_relu) {
+  internal::ChosenArm().sparse_linear_forward_into(x, wt, col0, out, bias, y,
+                                                   fuse_relu);
 }
 
 void LinearBackward(const Matrix& x, const Matrix& w, const Matrix& dy,
@@ -509,12 +542,12 @@ void LinearBackward(const Matrix& x, const Matrix& w, const Matrix& dy,
 
 // --- Untiled helpers. -----------------------------------------------------
 
-void SoftmaxRows(const Matrix& logits, Matrix& probs) {
+void SoftmaxRows(const Matrix& logits, Matrix& probs,
+                 std::vector<double>& scratch) {
   const int rows = logits.rows();
   const int cols = logits.cols();
   IAM_CHECK(&logits != &probs);
   probs.ResizeUninitialized(rows, cols);
-  std::vector<double> scratch(static_cast<size_t>(cols));
   for (int r = 0; r < rows; ++r) {
     const float* lrow = logits.row(r);
     scratch.assign(lrow, lrow + cols);

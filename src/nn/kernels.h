@@ -79,6 +79,14 @@ void LinearReluForward(const Matrix& x, const Matrix& w,
 void LinearForwardT(const Matrix& x, std::span<const int> kept,
                     const float* wt, int ldw, int out,
                     std::span<const float> bias, Matrix& y, bool fuse_relu);
+// The same product written into columns [y_col, y_col + out) of y, which
+// must already be [x.rows(), >= y_col + out]; y's other columns keep their
+// values. The ResMADE eval path writes each layer's new degree slab this
+// way, next to the units it carried (DESIGN.md §10).
+void LinearForwardTInto(const Matrix& x, std::span<const int> kept,
+                        const float* wt, int ldw, int out,
+                        std::span<const float> bias, Matrix& y, int y_col,
+                        bool fuse_relu);
 
 // dst = src^T; dst is resized to [src.cols, src.rows].
 void TransposeInto(const Matrix& src, Matrix& dst);
@@ -87,10 +95,11 @@ void TransposeInto(const Matrix& src, Matrix& dst);
 // row in double precision with the max subtracted (exactly the scalar
 // SoftmaxInPlace recipe, in ascending index order), then narrowed to float.
 // Rows are independent, so results are bitwise invariant to how a batch is
-// split — the property the pooled cross-query sampler's GEMM slicing and
-// prefix dedup rely on (DESIGN.md §14). probs is resized to logits' shape;
-// logits and probs must not alias.
-void SoftmaxRows(const Matrix& logits, Matrix& probs);
+// split — the property the sampler's prefix dedup relies on (DESIGN.md
+// §14). probs is resized to logits' shape; logits and probs must not alias.
+// `scratch` is the caller's row buffer, reused across calls.
+void SoftmaxRows(const Matrix& logits, Matrix& probs,
+                 std::vector<double>& scratch);
 
 // --- Sparse input rows. ----------------------------------------------------
 
@@ -135,6 +144,13 @@ struct SparseRows {
 void SparseLinearForward(const SparseRows& x, const Matrix& wt, int out,
                          std::span<const float> bias, Matrix& y,
                          bool fuse_relu);
+// Columns [col0, col0 + out) of the same product, written into the same
+// columns of y, which must already be [x.rows, >= col0 + out]; y's other
+// columns keep their values. bias has `out` entries (those of the window)
+// or none.
+void SparseLinearForwardInto(const SparseRows& x, const Matrix& wt, int col0,
+                             int out, std::span<const float> bias, Matrix& y,
+                             bool fuse_relu);
 
 // Drop-in replacement for LinearBackwardRef: dx is computed per batch row
 // with the nonzero dy entries gathered and applied four at a time (one load

@@ -106,6 +106,18 @@ class Matrix {
   // growth is zero-filled). Use ResizeUninitialized when the contents are
   // about to be overwritten anyway.
   void Resize(int rows, int cols) {
+    const size_t old_size = size();
+    ResizeKeep(rows, cols);
+    if (size() > old_size) {
+      std::memset(data_.get() + old_size, 0,
+                  (size() - old_size) * sizeof(float));
+    }
+  }
+
+  // Resizes to [rows, cols] preserving the flat element prefix, like
+  // Resize, but leaves any growth unspecified: for scratch whose existing
+  // rows must survive a reshape and whose new rows are written next.
+  void ResizeKeep(int rows, int cols) {
     IAM_CHECK(rows >= 0 && cols >= 0);
     const size_t old_size = size();
     const size_t new_size = static_cast<size_t>(rows) * cols;
@@ -116,10 +128,6 @@ class Matrix {
       }
       data_ = std::move(grown);
       capacity_ = new_size;
-    }
-    if (new_size > old_size) {
-      std::memset(data_.get() + old_size, 0,
-                  (new_size - old_size) * sizeof(float));
     }
     rows_ = rows;
     cols_ = cols;

@@ -51,9 +51,10 @@ void ExpectSameBits(const Matrix& got, const Matrix& want,
 }
 
 // The public entry points, which run the arm internal::ChosenArm() picked.
-const KernelArm kPublic = {"public",         &LinearForward,
+const KernelArm kPublic = {"public",           &LinearForward,
                            &LinearReluForward, &LinearForwardT,
-                           &SparseLinearForward, &LinearBackward};
+                           &SparseLinearForward, &LinearBackward,
+                           &LinearForwardTInto, &SparseLinearForwardInto};
 
 void FillRandom(Matrix& m, Rng& rng) {
   for (int r = 0; r < m.rows(); ++r) {
@@ -381,6 +382,26 @@ void ExpectZeroSlack(const Matrix& y, const std::string& where) {
   }
 }
 
+// A value no kernel output here takes: marks the columns a window form must
+// leave alone.
+constexpr float kUntouched = 7.5f;
+
+// Columns [col0, col0 + want.cols()) of `got` are `want` bit for bit; every
+// other column still holds kUntouched.
+void ExpectWindow(const Matrix& got, const Matrix& want, int col0,
+                  const std::string& where) {
+  ASSERT_EQ(got.rows(), want.rows()) << where;
+  for (int r = 0; r < got.rows(); ++r) {
+    for (int c = 0; c < got.cols(); ++c) {
+      const bool in_window = c >= col0 && c < col0 + want.cols();
+      const float value = got.at(r, c);
+      const float expect = in_window ? want.at(r, c - col0) : kUntouched;
+      EXPECT_EQ(std::memcmp(&value, &expect, sizeof(float)), 0)
+          << where << " at (" << r << ", " << c << ")";
+    }
+  }
+}
+
 // Every kernel that runs the kept-list strips, at every tail width, with and
 // without bias and ReLU, against the reference bit for bit. The weights sit
 // flush against the right edge of the last row of their Matrix (wt is
@@ -389,7 +410,8 @@ void ExpectZeroSlack(const Matrix& y, const std::string& where) {
 // slack: ASan reports an overflow here if the slack is missing. The bias is
 // a caller vector with no slack, and a prefix window of the wider matrix
 // reads real weights past its last output, so a store there would show in
-// y's slack.
+// y's slack. The window forms run the same windows into the middle of a
+// wider y.
 void CheckTailStripsMatchReference(const KernelArm& k) {
   Rng rng(0x5eed9);
   const int in = 14;
@@ -437,6 +459,18 @@ void CheckTailStripsMatchReference(const KernelArm& k) {
             }
             k.sparse_linear_forward(sx, wt, out, bias, sparse, relu);
             ExpectSameBits(sparse, want, where + " sparse");
+
+            // The window forms write columns [kLead, kLead + out) of a
+            // wider y and leave its other columns as they were.
+            Matrix into(batch, width + 3), sparse_into(batch, width + 3);
+            std::fill_n(into.data(), into.size(), kUntouched);
+            std::fill_n(sparse_into.data(), sparse_into.size(), kUntouched);
+            k.linear_forward_t_into(x, *kept, wide_t.data() + kLead, width,
+                                    out, bias, into, kLead, relu);
+            ExpectWindow(into, want, kLead, where + " forward_t_into");
+            k.sparse_linear_forward_into(sx, wide_t, kLead, out, bias,
+                                         sparse_into, relu);
+            ExpectWindow(sparse_into, want, kLead, where + " sparse_into");
           }
           // The first `out` columns of the wide matrix: the loads past the
           // last output read real weights.

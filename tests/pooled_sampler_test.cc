@@ -2,9 +2,11 @@
 // bit-exactness of EstimateBatch and EstimateAggregate against a per-query
 // reference sampler at a fixed budget (on both the IAM bias-corrected path
 // and the NeuroCard factorized path), zero-mass fallback isolation inside a
-// megabatch, adaptive early-stop determinism across thread counts, and
-// serialization of concurrent pooled callers.
+// batch, adaptive early-stop determinism across thread counts, per-query
+// diagnostics that batchmates cannot move, and serialization of concurrent
+// callers.
 
+#include <cstring>
 #include <limits>
 #include <map>
 #include <span>
@@ -420,6 +422,54 @@ TEST(PooledSamplerTest, AggregateMatchesPerQueryReference) {
   ExpectSameAggregate(factorized, Peer::ReferenceAggregate(nc, nc_query, 3));
   ExpectSameAggregate(nc.EstimateAggregate(on_subject, 3),
                       Peer::ReferenceAggregate(nc, on_subject, 3));
+}
+
+TEST(PooledSamplerTest, DiagnosticsIndependentOfBatchmates) {
+  const data::Table table = data::MakeSynWisdm(3000, 84);
+  ArDensityEstimator est(table, FastIamOptions());
+  est.TrainEpoch();
+  const query::Query q{{{.column = 0, .lo = 10.0, .hi = 30.0},
+                        {.column = 3, .lo = -1.0, .hi = 4.0}}};
+  constexpr size_t kAt = 3;
+  // Two batches with q at the same global index (its Rng is seed ^ 3):
+  // batchmates over other columns, and batchmates sharing q's first sampled
+  // column, whose all-wildcard prefix a batch-wide dedup would have shared.
+  std::vector<query::Query> others = MixedWorkload();
+  others[kAt] = q;
+  std::vector<query::Query> sharing(6, query::Query{
+      {{.column = 0, .lo = 5.0, .hi = 40.0}}});
+  sharing[kAt] = q;
+
+  struct Seen {
+    double estimate;
+    estimator::QueryDiagnostics diag;
+  };
+  std::vector<Seen> seen;
+  for (const int threads : {1, 4}) {
+    est.set_num_threads(threads);
+    for (const std::vector<query::Query>* batch : {&others, &sharing}) {
+      std::vector<estimator::QueryDiagnostics> diags(batch->size());
+      const std::vector<double> estimates =
+          est.EstimateBatchDiagnosed(*batch, diags);
+      seen.push_back({estimates[kAt], diags[kAt]});
+    }
+  }
+  const Seen& want = seen.front();
+  EXPECT_GT(want.estimate, 0.0);
+  EXPECT_GT(want.diag.prefix_hits, 0);
+  EXPECT_GT(want.diag.sampler_draws, 0u);
+  for (size_t k = 1; k < seen.size(); ++k) {
+    const Seen& got = seen[k];
+    EXPECT_EQ(std::memcmp(&got.estimate, &want.estimate, sizeof(double)), 0)
+        << "run " << k;
+    EXPECT_EQ(got.diag.prefix_hits, want.diag.prefix_hits) << "run " << k;
+    EXPECT_EQ(got.diag.sampler_draws, want.diag.sampler_draws) << "run " << k;
+    EXPECT_EQ(got.diag.fallbacks, want.diag.fallbacks) << "run " << k;
+    EXPECT_EQ(got.diag.fallback_column, want.diag.fallback_column)
+        << "run " << k;
+    EXPECT_EQ(got.diag.sample_rows, want.diag.sample_rows) << "run " << k;
+    EXPECT_EQ(got.diag.rounds, want.diag.rounds) << "run " << k;
+  }
 }
 
 TEST(PooledSamplerTest, ConcurrentPooledCallersSerializeCleanly) {

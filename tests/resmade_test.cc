@@ -1,6 +1,7 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <cstring>
 #include <span>
 #include <sstream>
 #include <string>
@@ -483,6 +484,7 @@ void ExpectMatchesReference(const ResMade& made,
   // One context across all columns and both entry points, as the sampler
   // reuses it; a flat copy of the rows feeds the EncodedView overload.
   ResMade::Context ctx;
+  std::vector<double> softmax_scratch;
   std::vector<int> flat;
   for (const std::vector<int>& row : rows) {
     flat.insert(flat.end(), row.begin(), row.end());
@@ -495,9 +497,10 @@ void ExpectMatchesReference(const ResMade& made,
     for (int r = 0; r < logits.rows(); ++r) {
       for (int j = 0; j < dom; ++j) slice.at(r, j) = logits.at(r, off + j);
     }
-    nn::SoftmaxRows(slice, want);
+    nn::SoftmaxRows(slice, want, softmax_scratch);
     made.ConditionalDistribution(rows, col, got, ctx);
-    made.ConditionalDistribution(view, col, got_view, ctx);
+    made.ConditionalDistribution(view, col, /*parent_col=*/0, {}, got_view,
+                                 ctx);
     ASSERT_EQ(got.rows(), want.rows()) << label;
     ASSERT_EQ(got.cols(), dom) << label;
     for (int r = 0; r < want.rows(); ++r) {
@@ -515,7 +518,7 @@ void ExpectMatchesReference(const ResMade& made,
   const std::vector<float> bias = ResMadeTestPeer::OutputBias(made, 0);
   nn::Matrix bias_row(1, made.domain_size(0)), want0, got0;
   for (int j = 0; j < made.domain_size(0); ++j) bias_row.at(0, j) = bias[j];
-  nn::SoftmaxRows(bias_row, want0);
+  nn::SoftmaxRows(bias_row, want0, softmax_scratch);
   made.ConditionalDistribution(rows, 0, got0, ctx);
   for (int r = 0; r < got0.rows(); ++r) {
     for (int j = 0; j < made.domain_size(0); ++j) {
@@ -586,6 +589,184 @@ INSTANTIATE_TEST_SUITE_P(
         OracleCase{{30, 18, 30, 30, 51}, {256, 128, 128, 256}, true, 96,
                    "paper_arch"}),
     [](const auto& info) { return info.param.label; });
+
+// --- The carry: ConditionalDistribution with a parent column. -------------
+
+// One step of a carried column chain: `rows` evaluated for `col`, each row
+// carrying its hidden units of degree <= parent_col from row parent_of[r]
+// of the previous step.
+struct CarryStep {
+  std::vector<int> flat;  // rows, row-major
+  std::vector<int> parent_of;
+  int rows = 0;
+};
+
+// The children of `parent` after `parent_col`: every parent row
+// gets 0-3 children (so some parents are skipped, and rows move both up
+// and down), copies of it with parent_col's value drawn, the columns
+// after it wildcard or drawn (gaps as in the sampler, or values the next
+// conditional must not depend on).
+CarryStep Children(const ResMade& made, const CarryStep& parent,
+                   int parent_col, Rng& rng) {
+  const int n = made.num_columns();
+  CarryStep step;
+  for (int u = 0; u < parent.rows; ++u) {
+    const int kids = static_cast<int>(rng.UniformInt(4));
+    for (int k = 0; k < kids; ++k) {
+      std::vector<int> row(parent.flat.begin() + u * n,
+                           parent.flat.begin() + (u + 1) * n);
+      row[parent_col] =
+          static_cast<int>(rng.UniformInt(made.domain_size(parent_col)));
+      for (int c = parent_col + 1; c < n; ++c) {
+        row[c] = rng.Uniform() < 0.5 ? made.wildcard_token(c)
+                                     : static_cast<int>(rng.UniformInt(
+                                           made.domain_size(c) + 1));
+      }
+      step.flat.insert(step.flat.end(), row.begin(), row.end());
+      step.parent_of.push_back(u);
+      ++step.rows;
+    }
+  }
+  return step;
+}
+
+// Runs the chain cols[0] < cols[1] < ... on one context, each step carried
+// from the one before, and checks every step's conditionals bit for bit
+// against the full evaluation (parent_col = 0) of the same rows on a fresh
+// context.
+void ExpectCarryMatchesFull(const ResMade& made, const std::vector<int>& cols,
+                            int first_rows, Rng& rng,
+                            const std::string& label) {
+  const int n = made.num_columns();
+  CarryStep step;
+  step.rows = first_rows;
+  for (int r = 0; r < first_rows; ++r) {
+    for (int c = 0; c < n; ++c) {
+      step.flat.push_back(c < cols[0] ? static_cast<int>(rng.UniformInt(
+                                            made.domain_size(c)))
+                                      : made.wildcard_token(c));
+    }
+  }
+  ResMade::Context carried;
+  for (size_t t = 0; t < cols.size(); ++t) {
+    const int col = cols[t];
+    const int parent_col = t == 0 ? 0 : cols[t - 1];
+    if (t > 0) {
+      step = Children(made, step, parent_col, rng);
+      if (step.rows == 0) return;  // every parent childless: chain ends
+    }
+    const EncodedView view{step.flat.data(), step.rows, n};
+    nn::Matrix got, want;
+    made.ConditionalDistribution(view, col, parent_col, step.parent_of, got,
+                                 carried);
+    ResMade::Context fresh;
+    made.ConditionalDistribution(view, col, /*parent_col=*/0, {}, want, fresh);
+    const std::string where = label + " col " + std::to_string(col) +
+                              " after " + std::to_string(parent_col) + ", " +
+                              std::to_string(step.rows) + " rows";
+    ASSERT_EQ(got.rows(), want.rows()) << where;
+    ASSERT_EQ(got.cols(), want.cols()) << where;
+    EXPECT_EQ(std::memcmp(got.data(), want.data(), want.size() * sizeof(float)),
+              0)
+        << where;
+  }
+}
+
+TEST(ResMadeCarryTest, CarriedConditionalsMatchFullEvaluationBitwise) {
+  struct CarryCase {
+    std::vector<int> domains;
+    std::vector<int> hidden;
+    bool residual;
+    int one_hot_max;
+    const char* label;
+  };
+  const std::vector<CarryCase> cases = {
+      {{6, 40, 4, 9, 3, 7, 5}, {37, 19, 19, 37}, true, 96, "one_hot_residual"},
+      {{6, 40, 4, 9, 3, 7, 5}, {37, 19, 19, 37}, false, 96,
+       "one_hot_no_residual"},
+      {{6, 40, 4, 9, 3, 7, 5}, {21, 21}, true, 8, "embedded_inputs"},
+      {{30, 30, 30, 30, 30, 30, 30}, {256, 128, 128, 256}, true, 96,
+       "higgs_shape"},
+  };
+  // Consecutive columns, gaps of wildcard columns, and chains that start
+  // past column 1.
+  const std::vector<std::vector<int>> chains = {
+      {1, 2, 3, 4, 5, 6}, {1, 3, 6}, {2, 5}, {1, 6}, {4, 5, 6}};
+  for (const CarryCase& layout : cases) {
+    ResMadeConfig config;
+    config.hidden_sizes = layout.hidden;
+    config.residual = layout.residual;
+    config.one_hot_max_domain = layout.one_hot_max;
+    config.embedding_dim = 6;
+    ResMade made(layout.domains, config, 93);
+    Rng rng(94);
+    // Training moves every bias and unmasked weight off its initial value.
+    nn::Adam adam;
+    made.RegisterParameters(adam);
+    for (int step = 0; step < 4; ++step) {
+      std::vector<std::vector<int>> batch = RandomRows(made, 64, rng);
+      for (std::vector<int>& row : batch) {
+        for (int c = 0; c < made.num_columns(); ++c) {
+          row[c] = std::min(row[c], made.domain_size(c) - 1);
+        }
+      }
+      made.TrainStep(batch, adam, rng);
+    }
+    // First-step row counts: 1 row, and counts that leave 4-row-block
+    // remainders; the children counts vary around them.
+    for (const std::vector<int>& chain : chains) {
+      for (const int first_rows : {1, 5, 11}) {
+        ExpectCarryMatchesFull(made, chain, first_rows, rng,
+                               std::string(layout.label));
+      }
+    }
+  }
+}
+
+TEST(ResMadeCarryTest, ManyChildrenOfOneParent) {
+  ResMade made({5, 9, 7, 6}, TinyConfig(), 95);
+  Rng rng(96);
+  // One parent row for column 1; 13 children for column 3 (three full
+  // 4-row blocks and a remainder), all copying row 0.
+  const int n = made.num_columns();
+  std::vector<int> parent = {3, made.wildcard_token(1), made.wildcard_token(2),
+                             made.wildcard_token(3)};
+  ResMade::Context ctx;
+  nn::Matrix probs;
+  made.ConditionalDistribution({parent.data(), 1, n}, 1, 0, {}, probs, ctx);
+  std::vector<int> children;
+  for (int k = 0; k < 13; ++k) {
+    children.insert(children.end(),
+                    {3, static_cast<int>(rng.UniformInt(9)),
+                     static_cast<int>(rng.UniformInt(8)), k % 7});
+  }
+  const EncodedView view{children.data(), 13, n};
+  nn::Matrix got, want;
+  made.ConditionalDistribution(view, 3, 1, std::vector<int>(13, 0), got, ctx);
+  ResMade::Context fresh;
+  made.ConditionalDistribution(view, 3, 0, {}, want, fresh);
+  ASSERT_EQ(got.rows(), 13);
+  EXPECT_EQ(std::memcmp(got.data(), want.data(), want.size() * sizeof(float)),
+            0);
+}
+
+TEST(ResMadeCarryTest, RejectsACarryWithoutItsParentCall) {
+  ResMade made({5, 9, 7, 6}, TinyConfig(), 97);
+  const int n = made.num_columns();
+  std::vector<int> row = {1, 2, made.wildcard_token(2), made.wildcard_token(3)};
+  const EncodedView view{row.data(), 1, n};
+  ResMade::Context ctx;
+  nn::Matrix probs;
+  made.ConditionalDistribution(view, 2, 0, {}, probs, ctx);
+  // The context holds column 2's units, not column 1's.
+  EXPECT_DEATH(made.ConditionalDistribution(view, 3, 1, std::vector<int>{0},
+                                            probs, ctx),
+               "parent call");
+  // A parent index past the previous call's rows.
+  EXPECT_DEATH(made.ConditionalDistribution(view, 3, 2, std::vector<int>{1},
+                                            probs, ctx),
+               "");
+}
 
 }  // namespace
 }  // namespace iam::ar

@@ -31,6 +31,7 @@
 #include "serve/demo.h"
 #include "serve/model_registry.h"
 #include "serve/server.h"
+#include "util/stopwatch.h"
 
 namespace iam::serve {
 namespace {
@@ -413,10 +414,9 @@ TEST(ServePipelineTest, ShortWritesOnResponsePathRecover) {
   // Let the server answer into the stalled socket until a send parks on
   // EPOLLOUT. Reading any earlier could drain the window as fast as the
   // server fills it.
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  const Stopwatch waited;
   while (GlobalCounterValue("iam_serve_partial_writes_total") == 0 &&
-         std::chrono::steady_clock::now() < deadline) {
+         waited.ElapsedSeconds() < 10.0) {
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
 
